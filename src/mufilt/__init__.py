@@ -79,7 +79,6 @@ from .lt_crystals import (
     CrystalVector,
     LTSModel,
     PhiCheck,
-    d_s_matrix,
     frobenius_matrix,
     generator_valuation,
     solution_count_mod_p,
@@ -94,7 +93,6 @@ from .period_calculus import (
     d_matrix,
     faltings_margin,
     graded_valuation,
-    mod_fil1_valuation,
     mod_p_filp_valuation,
     monomial_frobenius,
     multiplication_coeff,
@@ -128,109 +126,3 @@ from .signature_core import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdditivityViolation",
-    "AmbiguousLattice",
-    "AppendixDetail",
-    "BreakCertificate",
-    "CrystalVector",
-    "DeformationCheck",
-    "DegenerateEmbedding",
-    "DegreeWeighting",
-    "DetDegreeCheck",
-    "DimensionMismatch",
-    "DomainMismatch",
-    "DominanceReport",
-    "DualityBookkeeping",
-    "EnumerationCapExceeded",
-    "FaltingsMargin",
-    "FiniteOModuleDesc",
-    "HNResult",
-    "HasseInput",
-    "HeightMismatch",
-    "HypothesisViolation",
-    "InternalInvariantBreach",
-    "InternalNonIntegral",
-    "InvalidMultiplicity",
-    "LTProductGroup",
-    "LTSModel",
-    "MufiltError",
-    "MultiplicationMap",
-    "NegativeExponent",
-    "NegativeValuation",
-    "NotALattice",
-    "NotMuOrdinary",
-    "OrderViolation",
-    "PTorsionReport",
-    "PeriodMonomial",
-    "PeriodVector",
-    "PhiCheck",
-    "Polygon",
-    "RaynaudDatum",
-    "Signature",
-    "SignatureConstants",
-    "SplitSubgroupDesc",
-    "TowerLevel",
-    "TowerReport",
-    "ValuationOverflow",
-    "WindowViolation",
-    "appendix_lemma_check",
-    "appendix_lemma_detail",
-    "bijakowski_containment",
-    "break_certificate",
-    "classical_weighting",
-    "constants",
-    "d_matrix",
-    "d_s_matrix",
-    "deg_weighted",
-    "det_degree_valid",
-    "duality_bookkeeping",
-    "dual_signature",
-    "enumerate_split_subgroups",
-    "enumeration_cap",
-    "faltings_margin",
-    "fitting_degree",
-    "frobenius_deformation_check",
-    "frobenius_matrix",
-    "generator_valuation",
-    "graded_valuation",
-    "hasse_recursion",
-    "hasse_threshold",
-    "hn_from_lattice",
-    "hn_mu_ordinary_tau",
-    "hodge_polygon",
-    "ladder_index",
-    "lies_above",
-    "lt_torsion_desc",
-    "mod_fil1_valuation",
-    "mod_p_filp_valuation",
-    "monomial_frobenius",
-    "mu_ord_canonical_filtration",
-    "mu_ordinary_decomposition",
-    "mu_ordinary_ladder",
-    "mu_ordinary_product",
-    "mu_range_upper",
-    "multiplication_coeff",
-    "multiplication_map",
-    "newton_from_slopes",
-    "prime_admissible",
-    "ptorsion_report",
-    "raynaud_degrees",
-    "raynaud_dual",
-    "raynaud_hodge_tate_coker_degree",
-    "renormalize",
-    "reversed_hodge",
-    "slope_mu",
-    "solution_count_mod_p",
-    "t_decomposition_check",
-    "t_monomial",
-    "tate_generator",
-    "tau_weighting",
-    "threshold_existence",
-    "threshold_h1",
-    "threshold_h3",
-    "tower_report",
-    "verify_phi_eq_p",
-    "worst_case",
-]

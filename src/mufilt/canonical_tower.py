@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    DegenerateEmbedding,
     HypothesisViolation,
     MufiltError,
     NotMuOrdinary,
@@ -19,8 +18,11 @@ from .errors import (
 )
 from .signature_core import (
     Signature,
+    _h1_bound,
+    _h3_bound,
     _is_prime,
     constants,
+    hasse_threshold,
     ladder_index,
     mu_ordinary_decomposition,
 )
@@ -36,11 +38,7 @@ class HasseInput:
     ha: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.ha)
-        object.__setattr__(self, "ha", vals)
-        for t, v in enumerate(vals):
-            if not 0 <= v <= 1:
-                raise MufiltError(f"ha[{t}]={v} outside [0, 1]")
+        object.__setattr__(self, "ha", tuple(_check_ha(v) for v in self.ha))
 
     @property
     def mu_ha(self) -> Fraction:
@@ -89,12 +87,8 @@ def ptorsion_report(sig: Signature, tau: int, ha: Fraction) -> PTorsionReport:
     dual degree is bounded above by ha.  The h1_ok flag records whether ha
     sits below the level-one threshold; values are computed either way.
     """
-    sig.check_embedding(tau)
+    sig.check_nondegenerate(tau)
     ha = _check_ha(ha)
-    if sig.q[tau] in (0, sig.h):
-        raise DegenerateEmbedding(
-            f"embedding {tau} has q={sig.q[tau]}, no canonical subgroup datum"
-        )
     f, p = sig.f, sig.p
     K = constants(sig).K[tau]
     pv = sig.p_values
@@ -103,7 +97,6 @@ def ptorsion_report(sig: Signature, tau: int, ha: Fraction) -> PTorsionReport:
     for i in range(1, f + 1):
         slot = (tau + i) % f
         slot_bounds[slot] = min(pv[tau], pv[slot]) - ha / p ** (f - i)
-    h1_ok = ha < 1 + K - Fraction(2 * sig.q[tau], p - 1)
     return PTorsionReport(
         deg_identity_rhs=weighted - ha,
         coker_degree=K + ha / (p**f - 1),
@@ -111,7 +104,7 @@ def ptorsion_report(sig: Signature, tau: int, ha: Fraction) -> PTorsionReport:
         slot_lower_bounds=tuple(slot_bounds),
         dual_deg_upper_bound=ha,
         classical_lower_bound=classical - ha,
-        h1_ok=h1_ok,
+        h1_ok=ha < _h1_bound(sig, tau),
     )
 
 
@@ -167,14 +160,6 @@ class TowerReport:
     levels: tuple[TowerLevel, ...]
 
 
-def _threshold_level(sig: Signature, tau: int, m: int) -> Fraction:
-    K = constants(sig).K[tau]
-    base = min(
-        Fraction(1, 2), 1 + K - Fraction(2 * sig.q[tau], sig.p - 1)
-    )
-    return base / sig.p ** ((m - 1) * sig.f)
-
-
 def tower_report(sig: Signature, tau: int, ha: Fraction, n: int) -> TowerReport:
     """Level-by-level worst-case tower data for m = 1..n.
 
@@ -191,19 +176,16 @@ def tower_report(sig: Signature, tau: int, ha: Fraction, n: int) -> TowerReport:
     if n < 1:
         raise MufiltError(f"level n must be >= 1, got {n!r}")
     f, p = sig.f, sig.p
-    K = constants(sig).K[tau]
     weighted, classical = _min_sums(sig, tau)
-    qualifying = [t for t in range(f) if sig.q[t] not in (0, sig.h)]
-    h1 = ha < 1 + K - Fraction(2 * sig.q[tau], p - 1)
-    hf = all(ha < _threshold_level(sig, t, f) for t in qualifying)
+    qualifying = [t for t in range(f) if not sig.is_degenerate(t)]
+    h1 = ha < _h1_bound(sig, tau)
+    hf = all(ha < hasse_threshold(sig, t, f) for t in qualifying)
     levels = []
     for m in range(1, n + 1):
         delta = Fraction(p ** (m * f) - 1, p**f - 1) * ha
         h2 = delta < Fraction(p - 2, p - 1)
-        h3 = ha < (1 + K) / p ** ((m - 1) * f) - Fraction(
-            2 * sig.q[tau], p ** (m * f) - p ** ((m - 1) * f)
-        )
-        hn = all(ha < _threshold_level(sig, t, m) for t in qualifying)
+        h3 = ha < _h3_bound(sig, tau, m)
+        hn = all(ha < hasse_threshold(sig, t, m) for t in qualifying)
         levels.append(
             TowerLevel(
                 level=m,
@@ -285,11 +267,16 @@ class AppendixDetail:
 
 
 def appendix_lemma_detail(p: int, n: int, f: int) -> AppendixDetail:
-    """Exact evaluation of the appendix inequality in three forms.
+    """Exact evaluation of the appendix inequality and two companions.
 
     displayed: with denominator D = 2 p^{(n-1)f} f,
     (p^{(n-1)f} - 1)/((p^f - 1) D) + 2 (p^{nf} - 1)/((p^f - 1) D) - 1/f <= 1.
-    reduced: p^{(n-1)f} (2 p^f - 3f - 1)/f + 3 >= 0.
+    Clearing denominators gives P^{n-1} (2fP - 2f - 3) + 3 >= 0 with
+    P = p^f, which fails at (2, n, 1) for every n >= 3.
+    reduced: P^{n-1} (2P - 3f - 1)/f + 3 >= 0.  Despite the name it is not
+    a rearrangement of the displayed form: on the grid p <= 97, n <= 8,
+    f <= 8 it always holds, so it disagrees with the displayed form
+    exactly at the six points (2, n, 1), n = 3..8.
     anchor: 2 p^f >= 3f + 1.
     """
     if not _is_prime(p):
@@ -337,10 +324,7 @@ def duality_bookkeeping(sig: Signature, tau: int, ha: Fraction) -> DualityBookke
     """
     sig.check_embedding(tau)
     ha = _check_ha(ha)
-    K = constants(sig).K[tau]
-    bound = min(
-        Fraction(1, 2), 1 + K - Fraction(2 * sig.q[tau], sig.p - 1)
-    )
+    bound = min(Fraction(1, 2), _h1_bound(sig, tau))
     if not ha < bound:
         raise HypothesisViolation(
             f"ha={ha} is not below the duality threshold {bound}"

@@ -11,6 +11,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations, product
 
 from . import canonical_tower as tower
 from . import group_models as gm
@@ -26,6 +27,7 @@ from .serialize import (
     frac_json,
     monomial_json,
     parse_frac,
+    parse_int,
     parse_lattice,
     parse_signature,
     polygon_json,
@@ -47,7 +49,7 @@ def hasse_values(sig: sc.Signature, raw: str | None) -> tuple[str, tuple[Fractio
         data = relaxed_literal(text)
         vals = [Fraction(0)] * sig.f
         for key, value in data.items():
-            t = int(key)
+            t = parse_int(key, "ha map key")
             if not 0 <= t < sig.f:
                 raise MufiltError(f"ha map key {t} out of range 0..{sig.f - 1}")
             vals[t] = parse_frac(value)
@@ -59,7 +61,7 @@ def hasse_values(sig: sc.Signature, raw: str | None) -> tuple[str, tuple[Fractio
 def _threshold_entries(sig, taus, n, human):
     out = []
     for t in taus:
-        if sig.q[t] in (0, sig.h):
+        if sig.is_degenerate(t):
             out.append({"tau": t, "degenerate": True})
             continue
         for m in range(1, n + 1):
@@ -195,7 +197,7 @@ def build_report_bundle(
                 ],
             }
         )
-        if sig.q[t] in (0, sig.h):
+        if sig.is_degenerate(t):
             bundle["ptorsion"].append({"tau": t, "degenerate": True})
             bundle["duality"].append({"tau": t, "degenerate": True})
             continue
@@ -240,267 +242,239 @@ def hn_result_json(result: hn.HNResult, human: bool = False) -> dict:
 
 
 # === verification suites ====================================================
+#
+# A suite is a tuple of parts (tag, cases, check): cases() yields argument
+# tuples and check(*case) is true when the case passes.  A failing case is
+# recorded as [tag, *case], with every non-integer argument written by str().
 
-def _all_sigs(fmax, hmax, primes):
-    from itertools import product as iproduct
+_PRIMES_TO_97 = [p for p in range(98) if sc._is_prime(p)]
+_GRID_PRIMES = (2, 3, 5, 7)
+_SEED = 20260818
 
+
+def _sigs(fmax, hmax, primes, expand=lambda sig: [()]):
+    """Cases (sig, *rest) over a signature box, one per rest in expand(sig)."""
+
+    def cases():
+        for f in range(1, fmax + 1):
+            for h in range(1, hmax + 1):
+                for p in primes:
+                    for q in product(range(h + 1), repeat=f):
+                        sig = sc.Signature(f=f, p=p, h=h, q=q)
+                        for rest in expand(sig):
+                            yield (sig, *rest)
+
+    return cases
+
+
+def _levels(sig):
+    return [(1,), (2,)]
+
+
+def _flags(compute, *names):
+    """Check that passes when every named flag of compute(*case) is true."""
+    return lambda *case: all(getattr(compute(*case), name) for name in names)
+
+
+def _slots(sig):
+    return [t for t in range(sig.f) if not sig.is_degenerate(t)]
+
+
+def _reference_values(sig):
+    c = sc.constants(sig)
+    return (
+        c.k == (0, 1)
+        and c.K == (Fraction(0), Fraction(7, 48))
+        and c.r == (1, 2)
+        and sc.hasse_threshold(sig, 1, 1) == Fraction(23, 48)
+        and sc.hasse_threshold(sig, 1, 2) == Fraction(23, 2352)
+    )
+
+
+def _constant_laws(sig):
+    c = sc.constants(sig)
+    qmin = min(sig.q)
+    for t in range(sig.f):
+        if sig.q[t] == qmin and c.k[t] != 0:
+            return False
+        if sig.q[t] <= sig.p - 2 and not 0 <= c.K[t] < 1:
+            return False
+    rs = [c.r[t] for t in sorted(range(sig.f), key=lambda t: sig.q[t])]
+    return rs == sorted(rs)
+
+
+def _hn_equalities(sig, n):
+    nodes = gm.enumerate_split_subgroups(gm.mu_ordinary_product(sig, n))
+    classical = hn.hn_from_lattice(nodes, hn.classical_weighting(sig.p, sig.f))
+    if pg.renormalize(classical.polygon, n) != pg.reversed_hodge(sig):
+        return False
+    for t in range(sig.f):
+        res = hn.hn_from_lattice(nodes, hn.tau_weighting(sig.p, sig.f, t))
+        if res.filtration != classical.filtration:
+            return False
+        mu_poly = pg.hn_mu_ordinary_tau(sig, t)
+        for x, y in pg.renormalize(res.polygon, n).points:
+            if y != sig.f * mu_poly.value(x):
+                return False
+    return True
+
+
+def _raynaud_cases(per_combo=200, fmax=4):
+    rng = random.Random(_SEED)
     for f in range(1, fmax + 1):
-        for h in range(1, hmax + 1):
-            for p in primes:
-                for q in iproduct(range(h + 1), repeat=f):
-                    yield sc.Signature(f=f, p=p, h=h, q=tuple(q))
-
-
-def _primes_upto(bound):
-    sieve = [True] * (bound + 1)
-    sieve[0:2] = [False, False]
-    for i in range(2, int(bound**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
-    return [i for i, ok in enumerate(sieve) if ok]
-
-
-def _suite_constants():
-    sig = sc.Signature(f=2, p=7, h=3, q=(1, 2))
-    consts = sc.constants(sig)
-    checks = [
-        consts.k == (0, 1),
-        consts.K == (Fraction(0), Fraction(7, 48)),
-        consts.r == (1, 2),
-        sc.hasse_threshold(sig, 1, 1) == Fraction(23, 48),
-        sc.hasse_threshold(sig, 1, 2) == Fraction(23, 2352),
-    ]
-    grid_ok = True
-    for s in _all_sigs(3, 3, (2, 5)):
-        c = sc.constants(s)
-        qmin = min(s.q)
-        for t in range(s.f):
-            if s.q[t] == qmin and c.k[t] != 0:
-                grid_ok = False
-            if s.q[t] <= s.p - 2 and not 0 <= c.K[t] < 1:
-                grid_ok = False
-        order = sorted(range(s.f), key=lambda t: s.q[t])
-        rs = [c.r[t] for t in order]
-        if rs != sorted(rs):
-            grid_ok = False
-    return {"ok": all(checks) and grid_ok, "reference_checks": all(checks)}
-
-
-def _mu_ord_hn(sig, n, mode, tau=None):
-    G = gm.mu_ordinary_product(sig, n)
-    nodes = gm.enumerate_split_subgroups(G)
-    if mode == "classical":
-        w = hn.classical_weighting(sig.p, sig.f)
-    else:
-        w = hn.tau_weighting(sig.p, sig.f, tau)
-    return hn.hn_from_lattice(nodes, w)
-
-
-def _suite_hn(fmax=2, hmax=3, nmax=2, primes=(2, 3, 5, 7)):
-    failures = []
-    count = 0
-    for sig in _all_sigs(fmax, hmax, primes):
-        for n in range(1, nmax + 1):
-            count += 1
-            classical = _mu_ord_hn(sig, n, "classical")
-            target = pg.reversed_hodge(sig)
-            got = pg.renormalize(classical.polygon, n)
-            if got != target:
-                failures.append((signature_json(sig), n, "classical-polygon"))
-                continue
-            for t in range(sig.f):
-                res = _mu_ord_hn(sig, n, "tau", t)
-                if res.filtration != classical.filtration:
-                    failures.append((signature_json(sig), n, t, "filtration"))
-                    break
-                mu_poly = pg.hn_mu_ordinary_tau(sig, t)
-                scaled = pg.renormalize(res.polygon, n)
-                for x, y in scaled.points:
-                    if y != sig.f * mu_poly.value(x):
-                        failures.append((signature_json(sig), n, t, "break-values"))
-                        break
-    return {"ok": not failures, "cases": count, "failures": failures[:5]}
-
-
-def _suite_raynaud(per_combo=200, fmax=4, primes=(2, 3, 5, 7), seed=20260818):
-    rng = random.Random(seed)
-    cases = 0
-    for f in range(1, fmax + 1):
-        for p in primes:
+        for p in _GRID_PRIMES:
             for _ in range(per_combo):
-                vd = tuple(
-                    Fraction(rng.randrange(0, 33), 32) for _ in range(f)
-                )
-                d = gm.RaynaudDatum(f=f, p=p, vdelta=vd)
-                desc = gm.raynaud_degrees(d)
-                dual = gm.raynaud_degrees(gm.raynaud_dual(d))
-                if tuple(dual.deg) != tuple(1 - x for x in desc.deg):
-                    return {"ok": False, "failed": [f, p, [str(v) for v in vd]]}
-                for t in range(f):
-                    gm.raynaud_hodge_tate_coker_degree(d, t)
-                cases += 1
-    return {"ok": True, "cases": cases}
+                vd = tuple(Fraction(rng.randrange(0, 33), 32) for _ in range(f))
+                yield (gm.RaynaudDatum(f=f, p=p, vdelta=vd),)
 
 
-def _suite_periods(seed=20260818):
-    for f in range(1, 9):
-        for p in _primes_upto(97):
-            if not pc.t_decomposition_check(f, p):
-                return {"ok": False, "failed": ["t-check", f, p]}
-    for sig in _all_sigs(4, 4, (2, 3, 5, 7, 11, 13)):
-        consts = sc.constants(sig)
-        for t in range(sig.f):
-            if sig.q[t] in (0, sig.h):
-                continue
-            m = pc.multiplication_map(sig, t)
-            if m.K_value != consts.K[t] or not m.transport_ok:
-                return {"ok": False, "failed": ["K-match", signature_json(sig), t]}
-    rng = random.Random(seed)
+def _raynaud_duality(d):
+    desc = gm.raynaud_degrees(d)
+    dual = gm.raynaud_degrees(gm.raynaud_dual(d))
+    for t in range(d.f):
+        gm.raynaud_hodge_tate_coker_degree(d, t)
+    return tuple(dual.deg) == tuple(1 - x for x in desc.deg)
+
+
+def _k_match(sig):
+    K = sc.constants(sig).K
+    for t in _slots(sig):
+        m = pc.multiplication_map(sig, t)
+        if m.K_value != K[t] or not m.transport_ok:
+            return False
+    return True
+
+
+def _transport_cases(count=50):
+    rng = random.Random(_SEED)
     done = 0
-    while done < 50:
+    while done < count:
         f = rng.randrange(1, 7)
         h = rng.randrange(1, 7)
         p = rng.choice((2, 3, 5, 7, 11, 13, 17, 19, 23))
         q = tuple(rng.randrange(0, h + 1) for _ in range(f))
         sig = sc.Signature(f=f, p=p, h=h, q=q)
-        taus = [t for t in range(f) if sig.q[t] not in (0, sig.h)]
-        if not taus:
-            continue
-        if not pc.multiplication_map(sig, rng.choice(taus)).transport_ok:
-            return {"ok": False, "failed": ["transport", signature_json(sig)]}
-        done += 1
-    return {"ok": True}
+        if _slots(sig):
+            yield sig, rng.choice(_slots(sig))
+            done += 1
 
 
-def _suite_lts(fmax=5, primes=(2, 3, 5, 7)):
-    from itertools import combinations
-
-    cases = 0
+def _lts_cases(fmax=5):
     for f in range(1, fmax + 1):
-        for p in primes:
+        for p in _GRID_PRIMES:
             for size in range(f):
                 for S in combinations(range(f), size):
-                    Sset = frozenset(S)
                     for tau0 in range(f):
-                        if tau0 in Sset:
-                            continue
-                        m = lt.LTSModel(f=f, p=p, S=Sset, tau0=tau0)
-                        check = lt.verify_phi_eq_p(m)
-                        if not (check.eigen_ok and check.fil_pattern_ok):
-                            return {
-                                "ok": False,
-                                "failed": [f, p, sorted(Sset), tau0],
-                            }
-                        if lt.solution_count_mod_p(m) != p**f:
-                            return {
-                                "ok": False,
-                                "failed": [f, p, sorted(Sset), tau0, "count"],
-                            }
-                        cases += 1
-    return {"ok": True, "cases": cases}
+                        if tau0 not in S:
+                            yield (lt.LTSModel(f=f, p=p, S=frozenset(S), tau0=tau0),)
 
 
-def _suite_tower(fmax=3, hmax=4):
-    ha = Fraction(1, 100)
-    for sig in _all_sigs(fmax, hmax, (7,)):
-        in_window = sig.p**sig.f * ha + ha < 1
-        for t in range(sig.f):
-            if sig.q[t] in (0, sig.h):
-                continue
-            if in_window and tower.hasse_recursion(sig, t, ha, ha) != tower.worst_case(
-                sig, ha
-            ):
-                return {"ok": False, "failed": ["worst-case", signature_json(sig), t]}
-            rep = tower.tower_report(sig, t, ha, 2)
-            for lv in rep.levels:
-                if lv.ha_quotient > sig.p ** (lv.level * sig.f) * ha:
-                    return {"ok": False, "failed": ["quotient", signature_json(sig), t]}
-            break
-    for sig in _all_sigs(fmax, hmax, (2, 3, 5, 7)):
-        steps = gm.mu_ord_canonical_filtration(sig, 1)
-        for members, desc in steps:
-            rep_t = members[0]
-            if sig.q[rep_t] in (0, sig.h):
-                continue
-            w = hn.tau_weighting(sig.p, sig.f, rep_t)
-            lhs = tower.ptorsion_report(sig, rep_t, Fraction(0)).deg_identity_rhs
-            if lhs != hn.deg_weighted(desc, w):
-                return {"ok": False, "failed": ["ptorsion", signature_json(sig), rep_t]}
-    return {"ok": True}
-
-
-def _suite_deformation(fmax=3, hmax=3, nmax=2):
-    for sig in _all_sigs(fmax, hmax, (2, 3, 5, 7)):
-        for n in range(1, nmax + 1):
-            check = tower.frobenius_deformation_check(sig, n)
-            if not (check.heights_match and check.subgroup_match):
-                return {"ok": False, "failed": [signature_json(sig), n]}
-    return {"ok": True}
-
-
-def _suite_appendix():
-    displayed_failures = []
-    other_failures = []
-    for p in _primes_upto(97):
-        for n in range(1, 9):
-            for f in range(1, 9):
-                detail = tower.appendix_lemma_detail(p, n, f)
-                if not detail.displayed_ok:
-                    displayed_failures.append([p, n, f])
-                if not (detail.reduced_ok and detail.anchor_ok):
-                    other_failures.append([p, n, f])
-    nested_ok = True
-    false_positive = []
-    for sig in _all_sigs(2, 3, (2, 7)):
-        for n in (1, 2):
-            steps = gm.mu_ord_canonical_filtration(sig, n)
-            for i in range(len(steps) - 1):
-                d1 = steps[i][1]
-                d2 = steps[i + 1][1]
-                if d1.o_height == 0:
-                    continue
-                if not hn.bijakowski_containment(
-                    sig, n, d1.o_height, d2.o_height,
-                    d1.total_degree, d2.total_degree,
-                ):
-                    nested_ok = False
-            nodes = gm.enumerate_split_subgroups(gm.mu_ordinary_product(sig, n))
-            for a in nodes:
-                for b in nodes:
-                    if a.o_height == 0 or a.o_height > b.o_height:
-                        continue
-                    if b.contains(a):
-                        continue
-                    if hn.bijakowski_containment(
-                        sig, n, a.o_height, b.o_height,
-                        a.total_degree, b.total_degree,
-                    ):
-                        false_positive.append(signature_json(sig))
-    ok = (
-        not displayed_failures
-        and not other_failures
-        and nested_ok
-        and not false_positive
+def _tower_bounds(sig, t, ha=Fraction(1, 100)):
+    if sig.p**sig.f * ha + ha < 1:
+        if tower.hasse_recursion(sig, t, ha, ha) != tower.worst_case(sig, ha):
+            return False
+    return all(
+        lv.ha_quotient <= sig.p ** (lv.level * sig.f) * ha
+        for lv in tower.tower_report(sig, t, ha, 2).levels
     )
-    return {
-        "ok": ok,
-        "displayed_failures": displayed_failures,
-        "reduced_or_anchor_failures": other_failures,
-        "nested_certificates_ok": nested_ok,
-        "false_positives": false_positive[:5],
-    }
+
+
+def _ptorsion_identities(sig):
+    for members, desc in gm.mu_ord_canonical_filtration(sig, 1):
+        t = members[0]
+        if sig.is_degenerate(t):
+            continue
+        lhs = tower.ptorsion_report(sig, t, Fraction(0)).deg_identity_rhs
+        if lhs != hn.deg_weighted(desc, hn.tau_weighting(sig.p, sig.f, t)):
+            return False
+    return True
+
+
+def _appendix_grid():
+    return product(_PRIMES_TO_97, range(1, 9), range(1, 9))
+
+
+def _nested_certificates(sig, n):
+    steps = [desc for _, desc in gm.mu_ord_canonical_filtration(sig, n)]
+    for d1, d2 in zip(steps, steps[1:]):
+        if d1.o_height and not hn.bijakowski_containment(
+            sig, n, d1.o_height, d2.o_height, d1.total_degree, d2.total_degree
+        ):
+            return False
+    return True
+
+
+def _no_false_positive(sig, n):
+    nodes = gm.enumerate_split_subgroups(gm.mu_ordinary_product(sig, n))
+    for a in nodes:
+        for b in nodes:
+            if a.o_height == 0 or a.o_height > b.o_height or b.contains(a):
+                continue
+            if hn.bijakowski_containment(
+                sig, n, a.o_height, b.o_height, a.total_degree, b.total_degree
+            ):
+                return False
+    return True
 
 
 SUITES = {
-    "constants": _suite_constants,
-    "hn": _suite_hn,
-    "raynaud": _suite_raynaud,
-    "periods": _suite_periods,
-    "lts": _suite_lts,
-    "tower": _suite_tower,
-    "deformation": _suite_deformation,
-    "appendix": _suite_appendix,
+    "constants": (
+        ("reference", lambda: [(sc.Signature(f=2, p=7, h=3, q=(1, 2)),)],
+         _reference_values),
+        ("laws", _sigs(3, 3, (2, 5)), _constant_laws),
+    ),
+    "hn": (("hn", _sigs(2, 3, _GRID_PRIMES, _levels), _hn_equalities),),
+    "raynaud": (("duality", _raynaud_cases, _raynaud_duality),),
+    "periods": (
+        ("t-check", lambda: product(range(1, 9), _PRIMES_TO_97),
+         pc.t_decomposition_check),
+        ("K-match", _sigs(4, 4, (2, 3, 5, 7, 11, 13)), _k_match),
+        ("transport", _transport_cases, _flags(pc.multiplication_map, "transport_ok")),
+    ),
+    "lts": (
+        ("phi", _lts_cases, _flags(lt.verify_phi_eq_p, "eigen_ok", "fil_pattern_ok")),
+        ("count", _lts_cases, lambda m: lt.solution_count_mod_p(m) == m.p**m.f),
+    ),
+    "tower": (
+        ("bounds", _sigs(3, 4, (7,), lambda sig: [(t,) for t in _slots(sig)[:1]]),
+         _tower_bounds),
+        ("ptorsion", _sigs(3, 4, _GRID_PRIMES), _ptorsion_identities),
+    ),
+    "deformation": (
+        ("deformation", _sigs(3, 3, _GRID_PRIMES, _levels),
+         _flags(tower.frobenius_deformation_check, "heights_match", "subgroup_match")),
+    ),
+    "appendix": (
+        ("displayed", _appendix_grid,
+         _flags(tower.appendix_lemma_detail, "displayed_ok")),
+        ("reduced-or-anchor", _appendix_grid,
+         _flags(tower.appendix_lemma_detail, "reduced_ok", "anchor_ok")),
+        ("nested", _sigs(2, 3, (2, 7), _levels), _nested_certificates),
+        ("false-positive", _sigs(2, 3, (2, 7), _levels), _no_false_positive),
+    ),
 }
+
+
+def run_suite(name: str) -> dict:
+    """Run every case of a suite: ok, the case count and the first five
+    failure records.  The appendix also lists its failures per inequality."""
+    cases = 0
+    failures = []
+    for tag, make_cases, check in SUITES[name]:
+        for case in make_cases():
+            cases += 1
+            if not check(*case):
+                record = [a if isinstance(a, int) else str(a) for a in case]
+                failures.append([tag] + record)
+    result = {"ok": not failures, "cases": cases, "failures": failures[:5]}
+    if name == "appendix":
+        by_tag = {tag: [rec[1:] for rec in failures if rec[0] == tag]
+                  for tag, _, _ in SUITES[name]}
+        result["displayed_failures"] = by_tag["displayed"]
+        result["reduced_or_anchor_failures"] = by_tag["reduced-or-anchor"]
+        result["nested_certificates_ok"] = not by_tag["nested"]
+        result["false_positives"] = by_tag["false-positive"][:5]
+    return result
 
 
 # === argument parsing and dispatch ==========================================
@@ -514,8 +488,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mufilt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_sig(p):
-        p.add_argument("--sig", help="signature literal {f,p,h,q:[...]}")
+    def add_sig(p, required=True):
+        p.add_argument(
+            "--sig", required=required, help="signature literal {f,p,h,q:[...]}"
+        )
 
     pa = sub.add_parser("analyze", help="full signature report bundle")
     add_sig(pa)
@@ -533,7 +509,7 @@ def _build_parser() -> _Parser:
     pp.add_argument("--json", action="store_true")
 
     ph = sub.add_parser("hn", help="Harder-Narasimhan run on a lattice")
-    add_sig(ph)
+    add_sig(ph, required=False)
     ph.add_argument("--lattice", help="lattice JSON file path")
     ph.add_argument("--n", type=int, default=1)
     ph.add_argument("--mode", choices=("classical", "tau"), default="classical")
@@ -560,8 +536,6 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(args) -> int:
-    if not args.sig:
-        raise MufiltError("--sig is required")
     sig = parse_signature(args.sig)
     if args.tau is not None:
         sig.check_embedding(args.tau)
@@ -576,8 +550,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_polygons(args) -> int:
-    if not args.sig:
-        raise MufiltError("--sig is required")
     sig = parse_signature(args.sig)
     taus = [args.tau] if args.tau is not None else list(range(sig.f))
     for t in taus:
@@ -593,8 +565,11 @@ def _cmd_polygons(args) -> int:
         if args.svg == "-":
             sys.stdout.write(doc)
         else:
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(doc)
+            try:
+                with open(args.svg, "w", encoding="utf-8") as fh:
+                    fh.write(doc)
+            except OSError as exc:
+                raise MufiltError(f"cannot write SVG file {args.svg!r}: {exc}")
         return 0
     out = {
         "signature": signature_json(sig),
@@ -624,8 +599,12 @@ def _cmd_hn(args) -> int:
         pairs = None
         f, p = sig.f, sig.p
     elif args.lattice:
-        with open(args.lattice, "r", encoding="utf-8") as fh:
-            nodes, pairs = parse_lattice(fh.read())
+        try:
+            with open(args.lattice, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MufiltError(f"cannot read lattice file {args.lattice!r}: {exc}")
+        nodes, pairs = parse_lattice(text)
         if not nodes:
             raise MufiltError("lattice file holds no nodes")
         f = nodes[0].f
@@ -652,8 +631,8 @@ def _cmd_hn(args) -> int:
 def _cmd_raynaud(args) -> int:
     data = relaxed_literal(args.datum)
     try:
-        f = int(data["f"])
-        p = int(data["p"])
+        f = parse_int(data["f"], "f")
+        p = parse_int(data["p"], "p")
         vdelta = tuple(parse_frac(v) for v in data["vdelta"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MufiltError(f"datum needs f, p, vdelta: {exc}")
@@ -679,14 +658,13 @@ def _cmd_raynaud(args) -> int:
 
 
 def _cmd_periods(args) -> int:
-    if not args.sig:
-        raise MufiltError("--sig is required")
     sig = parse_signature(args.sig)
     taus = [args.tau] if args.tau is not None else list(range(sig.f))
+    K = sc.constants(sig).K
     entries = []
     for t in taus:
         sig.check_embedding(t)
-        if sig.q[t] in (0, sig.h):
+        if sig.is_degenerate(t):
             entries.append({"tau": t, "degenerate": True})
             continue
         m = pc.multiplication_map(sig, t)
@@ -700,9 +678,7 @@ def _cmd_periods(args) -> int:
                 "d_matrix": list(pc.d_matrix(sig, t)),
                 "faltings_margin": frac_json(margin.value, args.human),
                 "margin_ok": margin.margin_ok,
-                "mod_fil1_valuation": frac_json(
-                    pc.mod_fil1_valuation(sig, t), args.human
-                ),
+                "mod_fil1_valuation": frac_json(K[t], args.human),
                 "mod_p_filp_valuation": frac_json(
                     pc.mod_p_filp_valuation(sig, t), args.human
                 ),
@@ -721,15 +697,16 @@ def _cmd_lts(args) -> int:
     data = relaxed_literal(args.model)
     try:
         model = lt.LTSModel(
-            f=int(data["f"]),
-            p=int(data["p"]),
-            S=frozenset(int(x) for x in data["S"]),
-            tau0=int(data["tau0"]),
+            f=parse_int(data["f"], "f"),
+            p=parse_int(data["p"], "p"),
+            S=frozenset(parse_int(x, "S entry") for x in data["S"]),
+            tau0=parse_int(data["tau0"], "tau0"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MufiltError(f"model needs f, p, S, tau0: {exc}")
     gen = lt.tate_generator(model)
     check = lt.verify_phi_eq_p(model)
+    exponents = list(lt.frobenius_matrix(model))
     out = {
         "model": {
             "f": model.f,
@@ -737,7 +714,7 @@ def _cmd_lts(args) -> int:
             "S": sorted(model.S),
             "tau0": model.tau0,
         },
-        "frobenius_exponents": list(lt.frobenius_matrix(model)),
+        "frobenius_exponents": exponents,
         "generator": [monomial_json(g) for g in gen.entries],
         "generator_valuation": frac_json(
             lt.generator_valuation(model), args.human
@@ -745,7 +722,7 @@ def _cmd_lts(args) -> int:
         "eigen_ok": check.eigen_ok,
         "fil_pattern_ok": check.fil_pattern_ok,
         "solution_count_mod_p": lt.solution_count_mod_p(model),
-        "d_s_exponents": list(lt.d_s_matrix(model)),
+        "d_s_exponents": exponents,
     }
     sys.stdout.write(dump_json(out))
     return 0
@@ -763,7 +740,7 @@ def _cmd_verify(args) -> int:
     results = {}
     ok = True
     for name in names:
-        results[name] = SUITES[name]()
+        results[name] = run_suite(name)
         ok = ok and results[name]["ok"]
     sys.stdout.write(dump_json({"ok": ok, "suites": results}))
     return 0 if ok else 1

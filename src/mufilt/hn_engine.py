@@ -109,18 +109,14 @@ def _containment_from_pairs(n: int, pairs) -> list[list[bool]]:
         if not (0 <= i < n and 0 <= j < n):
             raise MufiltError(f"containment pair ({i},{j}) out of range")
         leq[i][j] = True
-    # reflexive-transitive closure, desk scale
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            row = leq[i]
-            for j in range(n):
-                if row[j] and i != j:
-                    for k in range(n):
-                        if leq[j][k] and not row[k]:
-                            row[k] = True
-                            changed = True
+    # Warshall: once k is done, row i holds everything reachable from i
+    # through intermediates 0..k, so one pass gives the transitive closure
+    for k in range(n):
+        above_k = [j for j, le in enumerate(leq[k]) if le]
+        for row in leq:
+            if row[k]:
+                for j in above_k:
+                    row[j] = True
     return leq
 
 
@@ -235,6 +231,11 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
         dht = cur_best.o_height - cur.o_height
         ddeg = tuple(a - b for a, b in zip(cur_best.deg, cur.deg))
         x += dht
+        # Classical ordinates are the average partial degree, so segments
+        # have slope mu and renormalize(polygon, n) is the reversed Hodge
+        # polygon.  Tau ordinates keep the weighted degree Deg_tau itself:
+        # segments have slope f * mu, and the renormalized polygon is f
+        # times hn_mu_ordinary_tau, whose 1/f already sits in the profile.
         if w.mode == "classical":
             y += sum(ddeg, Fraction(0)) / w.f
         else:

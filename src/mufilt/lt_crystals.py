@@ -131,11 +131,3 @@ def solution_count_mod_p(m: LTSModel) -> int:
         )
     return m.p**m.f
 
-
-def d_s_matrix(m: LTSModel) -> tuple[int, ...]:
-    """Diagonal p-exponents of D_S per absolute slot: slot tau carries
-    exponent 1 exactly when sigma^{-1} tau lies outside S.  Coincides with
-    the Frobenius exponent pattern."""
-    return tuple(
-        1 if (t - 1) % m.f not in m.S else 0 for t in range(m.f)
-    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateEmbedding, MufiltError, NegativeExponent
+from .errors import MufiltError, NegativeExponent
 from .signature_core import Signature, constants
 
 
@@ -134,11 +134,7 @@ def multiplication_map(sig: Signature, tau: int) -> MultiplicationMap:
     phi(coeff(tau')) * p^{min(q_tau, q_{tau'})} = coeff(sigma tau') * p^{q_tau}
     on exponent tuples for every slot.
     """
-    sig.check_embedding(tau)
-    if sig.q[tau] in (0, sig.h):
-        raise DegenerateEmbedding(
-            f"embedding {tau} has q={sig.q[tau]}, the multiplication map degenerates"
-        )
+    sig.check_nondegenerate(tau)
     coeffs = tuple(
         multiplication_coeff(sig, tau, u) for u in range(sig.f)
     )
@@ -177,12 +173,6 @@ def faltings_margin(sig: Signature, tau: int) -> FaltingsMargin:
     p, qt = sig.p, sig.q[tau]
     value = K / p + Fraction(qt, p * (p - 1)) + Fraction(qt, p)
     return FaltingsMargin(value=value, margin_ok=value < 1)
-
-
-def mod_fil1_valuation(sig: Signature, tau: int) -> Fraction:
-    """Valuation of the multiplication coefficient modulo Fil^1: K_tau."""
-    sig.check_embedding(tau)
-    return constants(sig).K[tau]
 
 
 def mod_p_filp_valuation(sig: Signature, tau: int) -> Fraction:

@@ -63,6 +63,20 @@ def parse_frac(obj) -> Fraction:
     raise MufiltError(f"cannot read {obj!r} as a rational")
 
 
+def parse_int(obj, what: str) -> int:
+    """Read an integer field of literal input: an int or an integer string
+    such as a map key.  Rejects bool and floats, which int() would accept
+    as 1 or truncate (1.9 -> 1)."""
+    if isinstance(obj, str):
+        try:
+            obj = int(obj)
+        except ValueError:
+            pass
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise MufiltError(f"{what} must be an integer, got {obj!r}")
+    return obj
+
+
 _BARE_KEY = re.compile(r'([{\s,])([A-Za-z_][A-Za-z0-9_]*|\d+)\s*:')
 _BARE_FRAC = re.compile(r'(?<![\w".])(-?\d+)\s*/\s*(\d+)(?![\w".])')
 
@@ -87,10 +101,10 @@ def parse_signature(obj) -> Signature:
     if not isinstance(obj, dict):
         raise MufiltError(f"signature literal must be an object, got {obj!r}")
     try:
-        f = int(obj["f"])
-        p = int(obj["p"])
-        h = int(obj["h"])
-        q = tuple(int(x) for x in obj["q"])
+        f = parse_int(obj["f"], "f")
+        p = parse_int(obj["p"], "p")
+        h = parse_int(obj["h"], "h")
+        q = tuple(parse_int(x, "q entry") for x in obj["q"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MufiltError(f"signature literal needs f, p, h, q: {exc}")
     return Signature(f=f, p=p, h=h, q=q)
@@ -143,9 +157,9 @@ def parse_desc(obj) -> FiniteOModuleDesc:
     if not isinstance(obj, dict):
         raise MufiltError(f"descriptor must be an object, got {obj!r}")
     try:
-        ht = int(obj["o_height"])
+        ht = parse_int(obj["o_height"], "o_height")
         deg = tuple(parse_frac(d) for d in obj["deg"])
-        level = int(obj["level"])
+        level = parse_int(obj["level"], "level")
     except (KeyError, TypeError, ValueError) as exc:
         raise MufiltError(f"descriptor needs o_height, deg, level: {exc}")
     if "torsion" in obj:
@@ -153,7 +167,7 @@ def parse_desc(obj) -> FiniteOModuleDesc:
             o_height=ht,
             deg=deg,
             level=level,
-            torsion=tuple(int(s) for s in obj["torsion"]),
+            torsion=tuple(parse_int(s, "torsion entry") for s in obj["torsion"]),
         )
     return FiniteOModuleDesc(o_height=ht, deg=deg, level=level)
 
@@ -173,7 +187,8 @@ def parse_lattice(obj) -> tuple[list[FiniteOModuleDesc], list | None]:
         for pair in obj["containment"]:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise MufiltError(f"containment pair {pair!r} must be [i, j]")
-            pairs.append((int(pair[0]), int(pair[1])))
+            i, j = pair
+            pairs.append((parse_int(i, "node index"), parse_int(j, "node index")))
     return nodes, pairs
 
 

@@ -74,6 +74,21 @@ class Signature:
             )
         return tau
 
+    def is_degenerate(self, tau: int) -> bool:
+        """True when q_tau is 0 or h: such an embedding carries no
+        threshold, canonical subgroup datum or multiplication map."""
+        return self.q[tau] in (0, self.h)
+
+    def check_nondegenerate(self, tau: int) -> int:
+        """check_embedding, then DegenerateEmbedding when q_tau is 0 or h."""
+        self.check_embedding(tau)
+        if self.is_degenerate(tau):
+            raise DegenerateEmbedding(
+                f"embedding {tau} has q={self.q[tau]} in {{0, h}}, "
+                "so no datum is defined there"
+            )
+        return tau
+
 
 @dataclass(frozen=True)
 class SignatureConstants:
@@ -124,6 +139,12 @@ def dual_signature(sig: Signature) -> Signature:
     return Signature(sig.f, sig.p, sig.h, sig.p_values)
 
 
+def _h1_bound(sig: Signature, tau: int) -> Fraction:
+    """Level-one bound 1 + K_tau - 2 q_tau/(p - 1), with no guards: the
+    public thresholds add theirs, the tower flags run at every embedding."""
+    return 1 + constants(sig).K[tau] - Fraction(2 * sig.q[tau], sig.p - 1)
+
+
 def hasse_threshold(sig: Signature, tau: int, n: int) -> Fraction:
     """Level-n canonical-subgroup threshold at an embedding.
 
@@ -131,43 +152,33 @@ def hasse_threshold(sig: Signature, tau: int, n: int) -> Fraction:
     Requires q_tau outside {0, h}; the degenerate embeddings carry no
     threshold.
     """
-    sig.check_embedding(tau)
+    sig.check_nondegenerate(tau)
     if n < 1:
         raise MufiltError(f"level n must be >= 1, got {n!r}")
-    if sig.q[tau] in (0, sig.h):
-        raise DegenerateEmbedding(
-            f"embedding {tau} has q={sig.q[tau]}, no threshold is defined"
-        )
-    K = constants(sig).K[tau]
-    base = min(Fraction(1, 2), 1 + K - Fraction(2 * sig.q[tau], sig.p - 1))
-    return base / sig.p ** ((n - 1) * sig.f)
+    return min(Fraction(1, 2), _h1_bound(sig, tau)) / sig.p ** ((n - 1) * sig.f)
 
 
 def threshold_h1(sig: Signature, tau: int) -> Fraction:
     """Level-one bound 1 + K_tau - 2 q_tau / (p - 1), without the 1/2 cap."""
-    sig.check_embedding(tau)
-    if sig.q[tau] in (0, sig.h):
-        raise DegenerateEmbedding(
-            f"embedding {tau} has q={sig.q[tau]}, no threshold is defined"
-        )
-    K = constants(sig).K[tau]
-    return 1 + K - Fraction(2 * sig.q[tau], sig.p - 1)
+    sig.check_nondegenerate(tau)
+    return _h1_bound(sig, tau)
 
 
-def threshold_h3(sig: Signature, tau: int, n: int) -> Fraction:
-    """Level-n refinement (1+K_tau)/p^{(n-1)f} - 2q_tau/(p^{nf}-p^{(n-1)f})."""
-    sig.check_embedding(tau)
-    if n < 1:
-        raise MufiltError(f"level n must be >= 1, got {n!r}")
-    if sig.q[tau] in (0, sig.h):
-        raise DegenerateEmbedding(
-            f"embedding {tau} has q={sig.q[tau]}, no threshold is defined"
-        )
+def _h3_bound(sig: Signature, tau: int, n: int) -> Fraction:
+    """Guard-free body of threshold_h3, shared with the tower's H3 flag."""
     f, p = sig.f, sig.p
     K = constants(sig).K[tau]
     return (1 + K) / p ** ((n - 1) * f) - Fraction(
         2 * sig.q[tau], p ** (n * f) - p ** ((n - 1) * f)
     )
+
+
+def threshold_h3(sig: Signature, tau: int, n: int) -> Fraction:
+    """Level-n refinement (1+K_tau)/p^{(n-1)f} - 2q_tau/(p^{nf}-p^{(n-1)f})."""
+    sig.check_nondegenerate(tau)
+    if n < 1:
+        raise MufiltError(f"level n must be >= 1, got {n!r}")
+    return _h3_bound(sig, tau, n)
 
 
 def threshold_existence(sig: Signature, tau: int) -> Fraction:
@@ -177,11 +188,7 @@ def threshold_existence(sig: Signature, tau: int) -> Fraction:
     term instead of two, enough for the subgroup to exist but not for the
     full degree identity.
     """
-    sig.check_embedding(tau)
-    if sig.q[tau] in (0, sig.h):
-        raise DegenerateEmbedding(
-            f"embedding {tau} has q={sig.q[tau]}, no threshold is defined"
-        )
+    sig.check_nondegenerate(tau)
     K = constants(sig).K[tau]
     return min(Fraction(1, 2), 1 + K - Fraction(sig.q[tau], sig.p - 1))
 
@@ -210,9 +217,7 @@ def prime_admissible(sig: Signature) -> tuple[bool, list[str]]:
                 f"p={sig.p} is not greater than the ratio bound {bound}"
             )
     for t in range(sig.f):
-        if sig.q[t] in (0, sig.h):
-            continue
-        if not sig.q[t] < sig.p - 1:
+        if not sig.is_degenerate(t) and not sig.q[t] < sig.p - 1:
             diags.append(
                 f"embedding {t}: q={sig.q[t]} is not below p-1={sig.p - 1}"
             )

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from mufilt import (
     DegenerateEmbedding,
     HasseInput,
@@ -187,6 +188,22 @@ class TestAppendixLemma:
         det = appendix_lemma_detail(7, 2, 2)
         assert det.displayed_ok and det.reduced_ok and det.anchor_ok
         assert appendix_lemma_check(7, 2, 2)
+
+    def test_cleared_form_matches_displayed_on_grid(self):
+        # multiplying the displayed inequality by (P - 1) * 2 P^{n-1} f, with
+        # P = p^f, leaves P^{n-1} (2fP - 2f - 3) + 3 >= 0; the coded reduced
+        # form is not that and parts from it exactly at the six failures
+        disagree = []
+        for p in oracles.primes_upto(97):
+            for n in range(1, 9):
+                for f in range(1, 9):
+                    det = appendix_lemma_detail(p, n, f)
+                    P = p**f
+                    cleared = P ** (n - 1) * (2 * f * P - 2 * f - 3) + 3 >= 0
+                    assert cleared == det.displayed_ok
+                    if det.reduced_ok != det.displayed_ok:
+                        disagree.append((p, n, f))
+        assert disagree == [(2, n, 1) for n in range(3, 9)]
 
     def test_validation(self):
         with pytest.raises(MufiltError):

@@ -67,6 +67,33 @@ class TestExitCodes:
         assert err.startswith("internal invariant breach:")
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--sig", SIG, "--ha", "{x:1/2}"],
+            ["analyze", "--sig", "{f:true,p:7,h:3,q:[1]}"],
+            ["analyze", "--sig", "{f:2,p:7,h:3,q:[1.9,2]}"],
+            ["lts", "--model", "{f:2,p:5,S:[0],tau0:1.5}"],
+            ["raynaud", "--datum", "{f:2.0,p:5,vdelta:[1/2,1/3]}"],
+        ],
+    )
+    def test_non_integer_fields_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "must be an integer" in err
+
+    def test_missing_lattice_file(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.json")
+        code, _, err = run(capsys, "hn", "--lattice", path)
+        assert code == 1 and err.startswith("error:") and "missing.json" in err
+
+    def test_unwritable_svg_path(self, capsys, tmp_path):
+        path = str(tmp_path / "no-such-dir" / "out.svg")
+        code, _, err = run(capsys, "polygons", "--sig", SIG, "--svg", path)
+        assert code == 1 and err.startswith("error:")
+
+
 class TestAnalyze:
     def test_deterministic_output(self, capsys):
         argv = ("analyze", "--sig", SIG, "--ha", "1/100", "--n", "2")

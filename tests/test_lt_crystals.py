@@ -8,7 +8,6 @@ import pytest
 from mufilt import (
     LTSModel,
     MufiltError,
-    d_s_matrix,
     frobenius_matrix,
     generator_valuation,
     graded_valuation,
@@ -78,10 +77,6 @@ class TestFrobeniusMatrix:
     def test_exponent_sum_counts_complement(self):
         for m in iter_models(4, (3,)):
             assert sum(frobenius_matrix(m)) == m.f - len(m.S)
-
-    def test_d_s_matches_frobenius_pattern(self):
-        for m in iter_models(4, (2, 5)):
-            assert d_s_matrix(m) == frobenius_matrix(m)
 
 
 class TestTateGenerator:

@@ -18,7 +18,6 @@ from mufilt import (
     d_matrix,
     faltings_margin,
     graded_valuation,
-    mod_fil1_valuation,
     mod_p_filp_valuation,
     monomial_frobenius,
     multiplication_coeff,
@@ -220,16 +219,13 @@ class TestFaltingsMargin:
 
 class TestModValuations:
     def test_reference_values(self, ref_sig):
-        assert mod_fil1_valuation(ref_sig, 1) == F(7, 48)
         assert mod_p_filp_valuation(ref_sig, 1) == F(1, 48)
 
     def test_scaling_relation(self):
         for sig in iter_signatures(3, 3, (2, 5)):
             for tau in range(sig.f):
-                assert mod_p_filp_valuation(sig, tau) == mod_fil1_valuation(
-                    sig, tau
-                ) / sig.p
+                assert mod_p_filp_valuation(sig, tau) == constants(sig).K[tau] / sig.p
 
     def test_embedding_out_of_range(self, ref_sig):
         with pytest.raises(MufiltError):
-            mod_fil1_valuation(ref_sig, 5)
+            mod_p_filp_valuation(ref_sig, 5)
