@@ -18,6 +18,7 @@ from .errors import (
 )
 from .signature_core import (
     Signature,
+    _frobenius_weights,
     _h1_bound,
     _h3_bound,
     _is_prime,
@@ -54,14 +55,9 @@ def _check_ha(ha) -> Fraction:
 
 def _min_sums(sig: Signature, tau: int) -> tuple[int, Fraction]:
     """(weighted, classical) sums of min(p_tau, p_{sigma^i tau})."""
-    pv = sig.p_values
-    weighted = 0
-    classical = 0
-    for i in range(1, sig.f + 1):
-        m = min(pv[tau], pv[(tau + i) % sig.f])
-        weighted += sig.p ** (sig.f - i) * m
-        classical += m
-    return weighted, Fraction(classical)
+    mins = [min(sig.p_values[tau], pu) for pu in sig.p_values]
+    weights = _frobenius_weights(sig.p, sig.f, tau)
+    return sum(c * m for c, m in zip(weights, mins)), Fraction(sum(mins))
 
 
 @dataclass(frozen=True)
@@ -93,10 +89,10 @@ def ptorsion_report(sig: Signature, tau: int, ha: Fraction) -> PTorsionReport:
     K = constants(sig).K[tau]
     pv = sig.p_values
     weighted, classical = _min_sums(sig, tau)
-    slot_bounds = [Fraction(0)] * f
-    for i in range(1, f + 1):
-        slot = (tau + i) % f
-        slot_bounds[slot] = min(pv[tau], pv[slot]) - ha / p ** (f - i)
+    slot_bounds = [
+        min(pv[tau], pu) - ha / c
+        for c, pu in zip(_frobenius_weights(p, f, tau), pv)
+    ]
     return PTorsionReport(
         deg_identity_rhs=weighted - ha,
         coker_degree=K + ha / (p**f - 1),

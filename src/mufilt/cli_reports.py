@@ -22,6 +22,7 @@ from . import polygons as pg
 from . import signature_core as sc
 from .errors import InternalInvariantBreach, MufiltError
 from .serialize import (
+    _parse_list,
     desc_json,
     dump_json,
     frac_json,
@@ -633,7 +634,9 @@ def _cmd_raynaud(args) -> int:
     try:
         f = parse_int(data["f"], "f")
         p = parse_int(data["p"], "p")
-        vdelta = tuple(parse_frac(v) for v in data["vdelta"])
+        vdelta = tuple(
+            parse_frac(v) for v in _parse_list(data["vdelta"], "vdelta")
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise MufiltError(f"datum needs f, p, vdelta: {exc}")
     d = gm.RaynaudDatum(f=f, p=p, vdelta=vdelta)
@@ -699,7 +702,9 @@ def _cmd_lts(args) -> int:
         model = lt.LTSModel(
             f=parse_int(data["f"], "f"),
             p=parse_int(data["p"], "p"),
-            S=frozenset(parse_int(x, "S entry") for x in data["S"]),
+            S=frozenset(
+                parse_int(x, "S entry") for x in _parse_list(data["S"], "S")
+            ),
             tau0=parse_int(data["tau0"], "tau0"),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -16,6 +16,7 @@ from itertools import product
 from .errors import EnumerationCapExceeded, InternalInvariantBreach, MufiltError
 from .signature_core import (
     Signature,
+    _frobenius_weights,
     _is_prime,
     ladder_index,
     mu_ordinary_decomposition,
@@ -150,10 +151,10 @@ def raynaud_hodge_tate_coker_degree(d: RaynaudDatum, tau: int) -> Fraction:
     if not 0 <= tau < d.f:
         raise MufiltError(f"slot {tau!r} out of range 0..{d.f - 1}")
     f, p = d.f, d.p
-    vg = d.vgamma
-    weighted = sum(p ** (f - j) * vg[(tau + j) % f] for j in range(1, f + 1))
+    weights = _frobenius_weights(p, f, tau)
+    weighted = sum(c * g for c, g in zip(weights, d.vgamma))
     formula = weighted / (p**f - 1)
-    oracle = _raynaud_point_valuation(p, vg, tau)
+    oracle = _raynaud_point_valuation(p, d.vgamma, tau)
     if formula != oracle:
         raise InternalInvariantBreach(
             f"Raynaud cokernel mismatch at slot {tau}: {formula} vs {oracle}"

@@ -1,17 +1,19 @@
 """Degree weightings, slopes, and Harder-Narasimhan filtrations over
 explicit descriptor lattices.
 
-Two degree functions are supported.  Classical mode sums the partial
-degrees.  Tau mode computes the Frobenius-weighted sum
-Deg_tau = sum over j = 1..f of p^{f-j} deg_{sigma^j tau}, so the tau slot
-itself enters with weight 1 via j = f.  Either way the slope of a
-descriptor is mu = Deg/(f * o_height).
+A degree weighting is a weight vector over the embeddings, and Deg is its
+dot product with the partial degrees.  Classical mode weights each
+embedding by 1.  Tau mode uses signature_core._frobenius_weights, so
+Deg_tau = sum over j = 1..f of p^{f-j} deg_{sigma^j tau}, with the tau slot
+itself at weight 1 (j = f).  Either way the slope of a descriptor is
+mu = Deg/(f * o_height).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     AdditivityViolation,
@@ -26,30 +28,38 @@ from .errors import (
 )
 from .group_models import FiniteOModuleDesc, SplitSubgroupDesc
 from .polygons import Polygon
-from .signature_core import Signature, constants
+from .signature_core import Signature, _frobenius_weights, _is_prime, constants
 
 
 @dataclass(frozen=True)
 class DegreeWeighting:
-    """Choice of degree function: classical or tau-weighted."""
+    """Choice of degree function, held as its weight vector over the
+    embeddings: all ones in classical mode, _frobenius_weights(p, f, tau)
+    in tau mode."""
 
     mode: str
     p: int
     f: int
     tau: int | None = None
+    weights: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("classical", "tau"):
             raise MufiltError(f"unknown weighting mode {self.mode!r}")
         if self.f < 1:
             raise MufiltError(f"f must be positive, got {self.f!r}")
+        if not _is_prime(self.p):
+            raise MufiltError(f"p must be prime, got {self.p!r}")
+        weights = (1,) * self.f
         if self.mode == "tau":
             if self.tau is None or not 0 <= self.tau < self.f:
                 raise MufiltError(
                     f"tau mode needs an embedding in 0..{self.f - 1}, got {self.tau!r}"
                 )
+            weights = _frobenius_weights(self.p, self.f, self.tau)
         elif self.tau is not None:
             raise MufiltError("classical mode takes no embedding")
+        object.__setattr__(self, "weights", weights)
 
 
 def classical_weighting(p: int, f: int) -> DegreeWeighting:
@@ -65,12 +75,7 @@ def _weighted(deg, w: DegreeWeighting) -> Fraction:
         raise DimensionMismatch(
             f"descriptor has {len(deg)} partial degrees, weighting expects {w.f}"
         )
-    if w.mode == "classical":
-        return sum(deg, Fraction(0))
-    total = Fraction(0)
-    for j in range(1, w.f + 1):
-        total += w.p ** (w.f - j) * deg[(w.tau + j) % w.f]
-    return total
+    return sum(map(mul, deg, w.weights), Fraction(0))
 
 
 def deg_weighted(desc: FiniteOModuleDesc, w: DegreeWeighting) -> Fraction:
@@ -86,11 +91,9 @@ def slope_mu(desc: FiniteOModuleDesc, w: DegreeWeighting) -> Fraction:
 
 
 def mu_range_upper(w: DegreeWeighting) -> Fraction:
-    """Largest possible slope: (p^f - 1)/(f (p - 1)) in tau mode, 1/f
-    per height unit of multiplicative type in classical mode times f."""
-    if w.mode == "classical":
-        return Fraction(1)
-    return Fraction(w.p**w.f - 1, w.f * (w.p - 1))
+    """Largest possible slope, the total weight over f: 1 in classical
+    mode, (p^f - 1)/(f (p - 1)) in tau mode."""
+    return Fraction(sum(w.weights), w.f)
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,8 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
     if not tops:
         raise NotALattice("no top object among the nodes")
     top = tops[0]
+    # Deg is linear, so a quotient's degree is the difference of two of these
+    degs = [_weighted(d.deg, w) for d in nodes]
 
     current = bottom
     filtration = [nodes[bottom]]
@@ -201,7 +206,7 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
                 raise AdditivityViolation(
                     f"nodes {current} and {j} are ordered but have equal height"
                 )
-            slope = _weighted(ddeg, w) / (w.f * dht)
+            slope = (degs[j] - degs[current]) / (w.f * dht)
             if (
                 best is None
                 or slope > best_slope
@@ -229,17 +234,14 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
             )
         cur_best = nodes[best]
         dht = cur_best.o_height - cur.o_height
-        ddeg = tuple(a - b for a, b in zip(cur_best.deg, cur.deg))
         x += dht
         # Classical ordinates are the average partial degree, so segments
         # have slope mu and renormalize(polygon, n) is the reversed Hodge
         # polygon.  Tau ordinates keep the weighted degree Deg_tau itself:
         # segments have slope f * mu, and the renormalized polygon is f
         # times hn_mu_ordinary_tau, whose 1/f already sits in the profile.
-        if w.mode == "classical":
-            y += sum(ddeg, Fraction(0)) / w.f
-        else:
-            y += _weighted(ddeg, w)
+        dy = degs[best] - degs[current]
+        y += dy / w.f if w.mode == "classical" else dy
         points.append((x, y))
         slopes.append(best_slope)
         filtration.append(cur_best)
@@ -270,12 +272,11 @@ def break_certificate(
 ) -> BreakCertificate:
     """Certify that C forces a polygon break at abscissa n*p_{tau'}.
 
-    Tau mode compares Deg_tau(C) to
-    n * sum_j p^{f-j} min(p_{tau'}, p_{sigma^j tau})
-    minus half the weighted count of embeddings sigma^j tau with
-    q = q_{tau'}; classical mode compares deg(C) to
-    n * sum min(p_{tau'}, p_{tau''}) minus half the plain count.  The cran
-    test replaces the subtracted term by (p-2)/(p-1) in both modes.
+    With w the weighting's weight vector (all ones in classical mode,
+    p^{f-j} at sigma^j tau in tau mode), compares the weighted degree of C
+    to n * sum_u w_u min(p_{tau'}, p_u) minus half the total weight of the
+    embeddings u with q_u = q_{tau'}.  The cran test replaces the
+    subtracted term by (p-2)/(p-1).
     """
     sig.check_embedding(tau_prime)
     if n < 1:
@@ -289,19 +290,10 @@ def break_certificate(
             f"candidate has O-height {C.o_height}, abscissa needs {expected}"
         )
     value = deg_weighted(C, w)
-    if w.mode == "classical":
-        main = n * sum(min(pv[tau_prime], pt) for pt in pv)
-        half = Fraction(sum(1 for qt in sig.q if qt == sig.q[tau_prime]), 2)
-    else:
-        main = 0
-        half_num = 0
-        for j in range(1, sig.f + 1):
-            weight = sig.p ** (sig.f - j)
-            main += weight * min(pv[tau_prime], pv[(w.tau + j) % sig.f])
-            if sig.q[(w.tau + j) % sig.f] == sig.q[tau_prime]:
-                half_num += weight
-        main *= n
-        half = Fraction(half_num, 2)
+    main = n * sum(c * min(pv[tau_prime], pu) for c, pu in zip(w.weights, pv))
+    half = Fraction(
+        sum(c for c, qu in zip(w.weights, sig.q) if qu == sig.q[tau_prime]), 2
+    )
     break_bound = main - half
     cran_bound = main - Fraction(sig.p - 2, sig.p - 1)
     return BreakCertificate(

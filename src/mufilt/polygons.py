@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainMismatch, InvalidMultiplicity, MufiltError
-from .signature_core import Signature
+from .signature_core import Signature, _frobenius_weights
 
 Point = tuple[Fraction, Fraction]
 
@@ -176,15 +176,12 @@ def hn_mu_ordinary_tau(sig: Signature, tau: int) -> Polygon:
     evaluated at 0, the distinct p-values, and h.
     """
     sig.check_embedding(tau)
-    f, p = sig.f, sig.p
     pv = sig.p_values
     xs = sorted({0, sig.h} | set(pv))
+    weights = _frobenius_weights(sig.p, sig.f, tau)
 
     def V(x: int) -> Fraction:
-        acc = 0
-        for i in range(1, f + 1):
-            acc += p ** (f - i) * min(x, pv[(tau + i) % f])
-        return Fraction(acc, f)
+        return Fraction(sum(c * min(x, pu) for c, pu in zip(weights, pv)), sig.f)
 
     return Polygon(tuple((Fraction(x), V(x)) for x in xs), "concave")
 

@@ -77,6 +77,14 @@ def parse_int(obj, what: str) -> int:
     return obj
 
 
+def _parse_list(obj, what: str):
+    """Read a list field of literal input.  Rejects strings and objects,
+    which iteration would read character by character or key by key."""
+    if not isinstance(obj, (list, tuple)):
+        raise MufiltError(f"{what} must be a list, got {obj!r}")
+    return obj
+
+
 _BARE_KEY = re.compile(r'([{\s,])([A-Za-z_][A-Za-z0-9_]*|\d+)\s*:')
 _BARE_FRAC = re.compile(r'(?<![\w".])(-?\d+)\s*/\s*(\d+)(?![\w".])')
 
@@ -104,7 +112,7 @@ def parse_signature(obj) -> Signature:
         f = parse_int(obj["f"], "f")
         p = parse_int(obj["p"], "p")
         h = parse_int(obj["h"], "h")
-        q = tuple(parse_int(x, "q entry") for x in obj["q"])
+        q = tuple(parse_int(x, "q entry") for x in _parse_list(obj["q"], "q"))
     except (KeyError, TypeError, ValueError) as exc:
         raise MufiltError(f"signature literal needs f, p, h, q: {exc}")
     return Signature(f=f, p=p, h=h, q=q)
@@ -158,7 +166,7 @@ def parse_desc(obj) -> FiniteOModuleDesc:
         raise MufiltError(f"descriptor must be an object, got {obj!r}")
     try:
         ht = parse_int(obj["o_height"], "o_height")
-        deg = tuple(parse_frac(d) for d in obj["deg"])
+        deg = tuple(parse_frac(d) for d in _parse_list(obj["deg"], "deg"))
         level = parse_int(obj["level"], "level")
     except (KeyError, TypeError, ValueError) as exc:
         raise MufiltError(f"descriptor needs o_height, deg, level: {exc}")
@@ -167,7 +175,10 @@ def parse_desc(obj) -> FiniteOModuleDesc:
             o_height=ht,
             deg=deg,
             level=level,
-            torsion=tuple(parse_int(s, "torsion entry") for s in obj["torsion"]),
+            torsion=tuple(
+                parse_int(s, "torsion entry")
+                for s in _parse_list(obj["torsion"], "torsion")
+            ),
         )
     return FiniteOModuleDesc(o_height=ht, deg=deg, level=level)
 

@@ -11,23 +11,61 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DegenerateEmbedding, MufiltError
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least composite that is a strong pseudoprime to every base
+# above: Miller-Rabin with these bases decides primality exactly below it.
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over the prime bases 2..41.
+
+    Exact for n below psi_13 = 3317044064679887385961981; larger n with no
+    factor among the bases raise MufiltError instead of risking a wrong
+    answer.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_EXACT_BELOW:
+        raise MufiltError(
+            f"primality of {n} is only decided below {_MR_EXACT_BELOW}"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _frobenius_weights(p: int, f: int, tau: int) -> tuple[int, ...]:
+    """Weight vector of Deg_tau(x) = sum over i = 1..f of p^{f-i} x_{sigma^i tau}.
+
+    Indexed by embedding: sigma^i tau gets p^{f-i}, so tau itself (i = f)
+    gets 1 and sigma^{-j} tau gets p^j.  Every Frobenius-weighted sum in
+    the library is a dot product with this vector.
+    """
+    w = [0] * f
+    for i in range(1, f + 1):
+        w[(tau + i) % f] = p ** (f - i)
+    return tuple(w)
 
 
 @dataclass(frozen=True)
@@ -111,8 +149,9 @@ class SignatureConstants:
 def constants(sig: Signature) -> SignatureConstants:
     """All per-embedding constants of a signature.
 
-    K_tau sums p^j max(0, q_tau - q_{sigma^{-j} tau}) over j = 1..f-1 and
-    divides by p^f - 1.
+    K_tau is the _frobenius_weights dot product with the defects
+    max(0, q_tau - q_u), divided by p^f - 1: the weight of sigma^{-j} tau
+    is p^j, and tau's own defect is 0.
     """
     f, p, q = sig.f, sig.p, sig.q
     pv = sig.p_values
@@ -123,11 +162,10 @@ def constants(sig: Signature) -> SignatureConstants:
     n = []
     kd = []
     for t in range(f):
-        k.append(sum(max(0, q[t] - qu) for qu in q))
-        acc = 0
-        for j in range(1, f):
-            acc += p**j * max(0, q[t] - q[(t - j) % f])
-        K.append(Fraction(acc, denom))
+        defects = [max(0, q[t] - qu) for qu in q]
+        k.append(sum(defects))
+        w = _frobenius_weights(p, f, t)
+        K.append(Fraction(sum(map(mul, w, defects)), denom))
         r.append(sum(1 for qu in q if qu <= q[t]))
         n.append(sum(1 for qu in q if qu == q[t]))
         kd.append(sum(max(0, pv[t] - pu) for pu in pv))

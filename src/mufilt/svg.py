@@ -23,8 +23,17 @@ def _frac_label(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _escape(text: str) -> str:
+    """Escape &, < and > for SVG text content; the html module would
+    also load its entity tables."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_polygons(items, title: str = "") -> str:
-    """Render [(polygon, label), ...] into a standalone SVG document."""
+    """Render [(polygon, label), ...] into a standalone SVG document.
+
+    The title and labels are text content: &, < and > are escaped.
+    """
     items = list(items)
     if not items:
         raise MufiltError("nothing to render")
@@ -84,7 +93,7 @@ def render_polygons(items, title: str = "") -> str:
     if title:
         parts.append(
             f'<text x="0" y="{-margin - font * len(items)}" '
-            f'font-size="{font}" fill="#000000">{title}</text>'
+            f'font-size="{font}" fill="#000000">{_escape(title)}</text>'
         )
     tick_xs = sorted({x for poly, _ in items for x, _ in poly.points})
     for x in tick_xs:
@@ -109,7 +118,7 @@ def render_polygons(items, title: str = "") -> str:
             )
         parts.append(
             f'<text x="0" y="{-margin - font * (len(items) - 1 - idx)}" '
-            f'font-size="{font}" fill="{color}">{label} '
+            f'font-size="{font}" fill="{color}">{_escape(label)} '
             f'(ends at {_frac_label(poly.points[-1][0])}, '
             f'{_frac_label(poly.points[-1][1])})</text>'
         )

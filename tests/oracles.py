@@ -132,6 +132,27 @@ def hn_tau_value(f, p, pvals, t, x):
     return Fraction(total, f)
 
 
+def break_certificate_bruteforce(f, p, q, h, n, tau, tau_prime, deg):
+    """(weighted degree, break bound, cran bound) read off the stated
+    formulas, walking the shifts j = 1..f of tau.  tau None is classical
+    mode: every embedding once, unweighted."""
+    pv = [h - x for x in q]
+    if tau is None:
+        slots = [(u, 1) for u in range(f)]
+    else:
+        slots = [((tau + j) % f, p ** (f - j)) for j in range(1, f + 1)]
+    value = Fraction(0)
+    main = 0
+    half = Fraction(0)
+    for u, weight in slots:
+        value += weight * Fraction(deg[u])
+        main += weight * min(pv[tau_prime], pv[u])
+        if q[u] == q[tau_prime]:
+            half += Fraction(weight, 2)
+    main *= n
+    return value, main - half, main - Fraction(p - 2, p - 1)
+
+
 # === Raynaud ================================================================
 
 def raynaud_affine_cycle(p, vgamma, slot):

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from mufilt.serialize import (
 F = Fraction
 
 SIG = "{f:2,p:7,h:3,q:[1,2]}"
+LATTICE = str(Path(__file__).parent / "golden" / "lattice.json")
 
 
 def run(capsys, *argv):
@@ -92,6 +94,48 @@ class TestInputErrors:
         path = str(tmp_path / "no-such-dir" / "out.svg")
         code, _, err = run(capsys, "polygons", "--sig", SIG, "--svg", path)
         assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--sig", '{f:2,p:7,h:3,q:"12"}'],
+            ["lts", "--model", '{f:2,p:5,S:"0",tau0:1}'],
+            ["raynaud", "--datum", '{f:2,p:5,vdelta:"10"}'],
+        ],
+    )
+    def test_list_fields_need_arrays(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "must be a list" in err
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            '{"o_height": 0, "deg": "00", "level": 1}',
+            '{"o_height": 0, "deg": [0, 0], "level": 1, "torsion": "0"}',
+        ],
+    )
+    def test_lattice_list_fields_need_arrays(self, capsys, tmp_path, node):
+        path = tmp_path / "lattice.json"
+        path.write_text('{"nodes": [%s]}' % node)
+        code, out, err = run(capsys, "hn", "--lattice", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "must be a list" in err
+
+    def test_composite_p_on_lattice_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "hn", "--lattice", LATTICE, "--mode", "tau", "--tau", "0",
+            "--p", "4",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "prime" in err
+
+    def test_svg_title_is_escaped(self, capsys):
+        sig = '{f:1,p:2,h:1,q:[0],x:"</text><script>alert(1)</script>"}'
+        code, out, _ = run(capsys, "polygons", "--sig", sig, "--svg", "-")
+        assert code == 0
+        assert "<script" not in out
+        assert "&lt;/text&gt;&lt;script&gt;" in out
 
 
 class TestAnalyze:

@@ -1,6 +1,7 @@
 """HN filtration engine: weightings, greedy selection, certificates."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -224,6 +225,26 @@ class TestBreakCertificate:
         C = desc(1, (1, 1))
         with pytest.raises(DimensionMismatch):
             break_certificate(ref_sig, 1, tau_weighting(5, 2, 1), 1, C)
+
+    def test_matches_stated_formula_f3(self):
+        # every (w.tau, tau') pair, so tau' != w.tau is covered, plus classical
+        deg = (F(1, 3), F(2, 3), F(1))
+        for p in (2, 3, 5, 7):
+            weightings = [(None, classical_weighting(p, 3))]
+            weightings += [(t, tau_weighting(p, 3, t)) for t in range(3)]
+            for q in oracles.all_signatures(3, 3):
+                sig = Signature(f=3, p=p, h=3, q=q)
+                for (tau, w), tau_prime, n in product(weightings, range(3), (1, 2)):
+                    C = desc(n * sig.p_values[tau_prime], deg)
+                    cert = break_certificate(sig, n, w, tau_prime, C)
+                    expected = oracles.break_certificate_bruteforce(
+                        3, p, q, 3, n, tau, tau_prime, deg
+                    )
+                    assert (
+                        cert.weighted_degree,
+                        cert.break_bound,
+                        cert.cran_bound,
+                    ) == expected
 
 
 class TestBijakowski:

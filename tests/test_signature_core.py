@@ -1,5 +1,6 @@
 """Signature invariants: constants, thresholds, duality, decomposition."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from mufilt import (
     threshold_h1,
     threshold_h3,
 )
+from mufilt.signature_core import _frobenius_weights, _is_prime
 
 sig_strategy = st.integers(1, 4).flatmap(
     lambda f: st.tuples(
@@ -78,7 +80,49 @@ class TestValidation:
         assert ref_sig.sigma(0, 2) == 0
 
 
+class TestPrimality:
+    # Strong pseudoprimes to the prime bases up to 7, 23 and 37; psi_13 is
+    # the least composite that Miller-Rabin over the bases up to 41 misses.
+    PSEUDOPRIMES = (
+        3215031751,
+        3825123056546413051,
+        318665857834031151167461,
+    )
+    PSI_13 = 3317044064679887385961981
+
+    def test_agrees_with_sieve(self):
+        bound = 10**5
+        primes = set(oracles.primes_upto(bound))
+        assert all(_is_prime(n) == (n in primes) for n in range(-2, bound + 1))
+
+    def test_strong_pseudoprimes_rejected(self):
+        for n in self.PSEUDOPRIMES:
+            assert not _is_prime(n)
+            with pytest.raises(MufiltError, match="prime"):
+                Signature(f=1, p=n, h=1, q=(0,))
+
+    def test_undecided_from_psi_13(self):
+        with pytest.raises(MufiltError, match=str(self.PSI_13)):
+            _is_prime(self.PSI_13)
+        with pytest.raises(MufiltError, match=str(self.PSI_13)):
+            Signature(f=1, p=self.PSI_13, h=1, q=(0,))
+        # a factor among the bases still decides exactly
+        assert not _is_prime(self.PSI_13 + 2)
+
+    def test_large_prime_is_prompt(self):
+        start = time.perf_counter()
+        sig = Signature(f=1, p=10**18 + 3, h=1, q=(0,))
+        assert time.perf_counter() - start < 1
+        assert sig.p == 10**18 + 3
+
+
 class TestConstants:
+    def test_frobenius_weights_reference(self):
+        # sigma^i tau gets p^{f-i}: from tau = 0 at f = 3, slot 1 gets p^2,
+        # slot 2 gets p, and tau itself gets 1
+        assert _frobenius_weights(3, 3, 0) == (1, 9, 3)
+        assert _frobenius_weights(7, 2, 1) == (7, 1)
+
     def test_reference_values(self, ref_sig):
         c = constants(ref_sig)
         assert c.k == (0, 1)
