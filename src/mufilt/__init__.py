@@ -76,7 +76,6 @@ from .hn_engine import (
     tau_weighting,
 )
 from .lt_crystals import (
-    CrystalVector,
     LTSModel,
     PhiCheck,
     frobenius_matrix,

@@ -18,10 +18,11 @@ from .errors import (
 )
 from .signature_core import (
     Signature,
+    _check_f_p,
+    _check_level,
     _frobenius_weights,
     _h1_bound,
     _h3_bound,
-    _is_prime,
     constants,
     hasse_threshold,
     ladder_index,
@@ -169,8 +170,7 @@ def tower_report(sig: Signature, tau: int, ha: Fraction, n: int) -> TowerReport:
     """
     sig.check_embedding(tau)
     ha = _check_ha(ha)
-    if n < 1:
-        raise MufiltError(f"level n must be >= 1, got {n!r}")
+    _check_level(n)
     f, p = sig.f, sig.p
     weighted, classical = _min_sums(sig, tau)
     qualifying = [t for t in range(f) if not sig.is_degenerate(t)]
@@ -224,8 +224,7 @@ def frobenius_deformation_check(
     through the complement.  Both exponent vectors and the resulting
     heights are compared.
     """
-    if n < 1:
-        raise MufiltError(f"level n must be >= 1, got {n!r}")
+    _check_level(n)
     if Fraction(ha) != 0:
         raise NotMuOrdinary(
             f"Frobenius deformation check needs ha = 0, got {ha}"
@@ -275,10 +274,8 @@ def appendix_lemma_detail(p: int, n: int, f: int) -> AppendixDetail:
     exactly at the six points (2, n, 1), n = 3..8.
     anchor: 2 p^f >= 3f + 1.
     """
-    if not _is_prime(p):
-        raise MufiltError(f"p must be prime, got {p!r}")
-    if n < 1 or f < 1:
-        raise MufiltError(f"need n, f >= 1, got n={n!r}, f={f!r}")
+    _check_f_p(f, p)
+    _check_level(n)
     D = 2 * p ** ((n - 1) * f) * f
     lhs = (
         Fraction(p ** ((n - 1) * f) - 1, (p**f - 1) * D)

@@ -16,8 +16,9 @@ from itertools import product
 from .errors import EnumerationCapExceeded, InternalInvariantBreach, MufiltError
 from .signature_core import (
     Signature,
+    _check_f_p,
+    _check_level,
     _frobenius_weights,
-    _is_prime,
     ladder_index,
     mu_ordinary_decomposition,
 )
@@ -38,10 +39,7 @@ class RaynaudDatum:
     vdelta: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.f < 1:
-            raise MufiltError(f"f must be positive, got {self.f!r}")
-        if not _is_prime(self.p):
-            raise MufiltError(f"p must be prime, got {self.p!r}")
+        _check_f_p(self.f, self.p)
         vd = tuple(Fraction(v) for v in self.vdelta)
         object.__setattr__(self, "vdelta", vd)
         if len(vd) != self.f:
@@ -192,8 +190,7 @@ def lt_torsion_desc(
 
 def mu_ordinary_product(sig: Signature, n: int) -> LTProductGroup:
     """The mu-ordinary product group of a signature, truncated at p^n."""
-    if n < 1:
-        raise MufiltError(f"level n must be >= 1, got {n!r}")
+    _check_level(n)
     return LTProductGroup(sig.f, mu_ordinary_decomposition(sig), n)
 
 
@@ -263,8 +260,7 @@ def mu_ord_canonical_filtration(
     min(p_tau, p_tau') formula used elsewhere.  Returned in increasing
     height order, each step tagged with its class of embeddings.
     """
-    if n < 1:
-        raise MufiltError(f"level n must be >= 1, got {n!r}")
+    _check_level(n)
     factors = mu_ordinary_decomposition(sig)
     classes: dict[int, list[int]] = {}
     for t in range(sig.f):

@@ -28,7 +28,13 @@ from .errors import (
 )
 from .group_models import FiniteOModuleDesc, SplitSubgroupDesc
 from .polygons import Polygon
-from .signature_core import Signature, _frobenius_weights, _is_prime, constants
+from .signature_core import (
+    Signature,
+    _check_f_p,
+    _check_level,
+    _frobenius_weights,
+    constants,
+)
 
 
 @dataclass(frozen=True)
@@ -46,10 +52,7 @@ class DegreeWeighting:
     def __post_init__(self):
         if self.mode not in ("classical", "tau"):
             raise MufiltError(f"unknown weighting mode {self.mode!r}")
-        if self.f < 1:
-            raise MufiltError(f"f must be positive, got {self.f!r}")
-        if not _is_prime(self.p):
-            raise MufiltError(f"p must be prime, got {self.p!r}")
+        _check_f_p(self.f, self.p)
         weights = (1,) * self.f
         if self.mode == "tau":
             if self.tau is None or not 0 <= self.tau < self.f:
@@ -279,8 +282,7 @@ def break_certificate(
     subtracted term by (p-2)/(p-1).
     """
     sig.check_embedding(tau_prime)
-    if n < 1:
-        raise MufiltError(f"level n must be >= 1, got {n!r}")
+    _check_level(n)
     if w.f != sig.f or w.p != sig.p:
         raise DimensionMismatch("weighting does not match the signature")
     pv = sig.p_values
@@ -321,8 +323,7 @@ def bijakowski_containment(
     such pairs), while every slot with n p_{tau'} >= d supports it.
     Heights are integers, so the count set is {tau' : d <= n p_{tau'} <= c}.
     """
-    if n < 1:
-        raise MufiltError(f"level n must be >= 1, got {n!r}")
+    _check_level(n)
     if d > c:
         raise OrderViolation(f"need d <= c, got d={d}, c={c}")
     pv = sig.p_values

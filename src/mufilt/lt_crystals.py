@@ -18,7 +18,7 @@ from .period_calculus import (
     graded_valuation,
     monomial_frobenius,
 )
-from .signature_core import _is_prime
+from .signature_core import _check_f_p
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,7 @@ class LTSModel:
     tau0: int
 
     def __post_init__(self):
-        if self.f < 1:
-            raise MufiltError(f"f must be positive, got {self.f!r}")
-        if not _is_prime(self.p):
-            raise MufiltError(f"p must be prime, got {self.p!r}")
+        _check_f_p(self.f, self.p)
         S = frozenset(self.S)
         object.__setattr__(self, "S", S)
         if not S <= frozenset(range(self.f)):
@@ -47,11 +44,6 @@ class LTSModel:
             raise MufiltError(f"tau0={self.tau0} must lie outside S")
 
 
-@dataclass(frozen=True)
-class CrystalVector:
-    entries: tuple[PeriodMonomial, ...]
-
-
 def frobenius_matrix(m: LTSModel) -> tuple[int, ...]:
     """p-exponent of Frobenius per target slot tau: 1 when the source slot
     sigma^{-1} tau lies outside S, 0 when it lies inside."""
@@ -60,7 +52,7 @@ def frobenius_matrix(m: LTSModel) -> tuple[int, ...]:
     )
 
 
-def tate_generator(m: LTSModel) -> CrystalVector:
+def tate_generator(m: LTSModel) -> PeriodVector:
     """Tate-module generator, one period monomial per slot.
 
     Slot tau0 carries x = prod_{j=1}^{f-1} (phi^j(t_O)/p)^{[sigma^{-j} tau0 in S]};
@@ -89,7 +81,7 @@ def tate_generator(m: LTSModel) -> CrystalVector:
             raise InternalNonIntegral(
                 f"slot {slot} generator {mon.text()} has a negative exponent"
             )
-    return CrystalVector(tuple(entries))
+    return PeriodVector(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -103,12 +95,11 @@ def verify_phi_eq_p(m: LTSModel) -> PhiCheck:
     filtration degrees match membership in S."""
     g = tate_generator(m).entries
     exps = frobenius_matrix(m)
-    eigen_ok = True
-    for t in range(m.f):
-        lhs = monomial_frobenius(g[t]).times_p(exps[(t + 1) % m.f])
-        rhs = g[(t + 1) % m.f].times_p(1)
-        if lhs != rhs:
-            eigen_ok = False
+    eigen_ok = all(
+        monomial_frobenius(g[t]).times_p(exps[(t + 1) % m.f])
+        == g[(t + 1) % m.f].times_p(1)
+        for t in range(m.f)
+    )
     fil_pattern_ok = all(
         g[t].a == (1 if t in m.S else 0) for t in range(m.f)
     )

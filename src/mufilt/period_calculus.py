@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MufiltError, NegativeExponent
+from .errors import NegativeExponent
 from .signature_core import Signature, constants
 
 
@@ -21,25 +21,9 @@ class PeriodMonomial:
     b: tuple[int, ...]
     c: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
-
     @property
     def f(self) -> int:
         return len(self.b) + 1
-
-    @staticmethod
-    def one(f: int) -> "PeriodMonomial":
-        return PeriodMonomial(0, (0,) * (f - 1), 0)
-
-    def __mul__(self, other: "PeriodMonomial") -> "PeriodMonomial":
-        if self.f != other.f:
-            raise MufiltError("monomials over different f")
-        return PeriodMonomial(
-            self.a + other.a,
-            tuple(x + y for x, y in zip(self.b, other.b)),
-            self.c + other.c,
-        )
 
     def times_p(self, k: int) -> "PeriodMonomial":
         return PeriodMonomial(self.a, self.b, self.c + k)
@@ -59,11 +43,8 @@ class PeriodMonomial:
 def monomial_frobenius(m: PeriodMonomial) -> PeriodMonomial:
     """One Frobenius step: phi(t_O) = p*(phi(t_O)/p), the b-chain shifts up,
     and phi^{f-1}(t_O)/p closes back to t_O."""
-    if m.f == 1:
-        return PeriodMonomial(m.a, (), m.c + m.a)
-    exps = [m.a] + list(m.b)
-    rotated = [exps[-1]] + exps[:-1]
-    return PeriodMonomial(rotated[0], tuple(rotated[1:]), m.c + m.a)
+    exps = (m.a, *m.b)
+    return PeriodMonomial(exps[-1], exps[:-1], m.c + m.a)
 
 
 def graded_valuation(m: PeriodMonomial, p: int) -> tuple[int, Fraction]:
@@ -77,11 +58,12 @@ def graded_valuation(m: PeriodMonomial, p: int) -> tuple[int, Fraction]:
         raise NegativeExponent(
             f"monomial {m.text()} has a negative period exponent"
         )
-    denom = p**m.f - 1
-    val = Fraction(m.a, denom) + m.c
-    for j, bj in enumerate(m.b, start=1):
-        val += Fraction(bj * p**j, denom)
-    return (m.a, val)
+    num, pj = m.a, 1
+    for bj in m.b:
+        pj *= p
+        num += bj * pj
+    denom = pj * p - 1
+    return (m.a, Fraction(num + m.c * denom, denom))
 
 
 def t_monomial(f: int) -> PeriodMonomial:
@@ -104,10 +86,6 @@ class PeriodVector:
 
     entries: tuple[PeriodMonomial, ...]
 
-    @property
-    def f(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class MultiplicationMap:
@@ -118,12 +96,9 @@ class MultiplicationMap:
 
 def multiplication_coeff(sig: Signature, tau: int, tau_prime: int) -> PeriodMonomial:
     """Coefficient of the period multiplication map at slot tau'."""
-    q = sig.q
-    a = max(0, q[tau] - q[tau_prime])
-    b = tuple(
-        max(0, q[tau] - q[(tau_prime - j) % sig.f]) for j in range(1, sig.f)
-    )
-    return PeriodMonomial(a, b, 0)
+    q, f = sig.q, sig.f
+    exps = [max(0, q[tau] - q[(tau_prime - j) % f]) for j in range(f)]
+    return PeriodMonomial(exps[0], tuple(exps[1:]), 0)
 
 
 def multiplication_map(sig: Signature, tau: int) -> MultiplicationMap:
@@ -135,16 +110,14 @@ def multiplication_map(sig: Signature, tau: int) -> MultiplicationMap:
     on exponent tuples for every slot.
     """
     sig.check_nondegenerate(tau)
-    coeffs = tuple(
-        multiplication_coeff(sig, tau, u) for u in range(sig.f)
-    )
+    q, f = sig.q, sig.f
+    coeffs = tuple(multiplication_coeff(sig, tau, u) for u in range(f))
     _, K_value = graded_valuation(coeffs[tau], sig.p)
-    transport_ok = True
-    for u in range(sig.f):
-        lhs = monomial_frobenius(coeffs[u]).times_p(min(sig.q[tau], sig.q[u]))
-        rhs = coeffs[(u + 1) % sig.f].times_p(sig.q[tau])
-        if lhs != rhs:
-            transport_ok = False
+    transport_ok = all(
+        monomial_frobenius(coeffs[u]).times_p(min(q[tau], q[u]))
+        == coeffs[(u + 1) % f].times_p(q[tau])
+        for u in range(f)
+    )
     return MultiplicationMap(
         coeffs=PeriodVector(coeffs), K_value=K_value, transport_ok=transport_ok
     )

@@ -55,6 +55,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_f_p(f: int, p: int) -> None:
+    """The one guard on the unramified degree f and the prime p."""
+    if not isinstance(f, int) or f < 1:
+        raise MufiltError(f"f must be a positive integer, got {f!r}")
+    if not isinstance(p, int) or not _is_prime(p):
+        raise MufiltError(f"p must be prime, got {p!r}")
+
+
+def _check_level(n: int) -> None:
+    if n < 1:
+        raise MufiltError(f"level n must be >= 1, got {n!r}")
+
+
 def _frobenius_weights(p: int, f: int, tau: int) -> tuple[int, ...]:
     """Weight vector of Deg_tau(x) = sum over i = 1..f of p^{f-i} x_{sigma^i tau}.
 
@@ -78,10 +91,7 @@ class Signature:
     q: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.f, int) or self.f < 1:
-            raise MufiltError(f"f must be a positive integer, got {self.f!r}")
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise MufiltError(f"p must be prime, got {self.p!r}")
+        _check_f_p(self.f, self.p)
         if not isinstance(self.h, int) or self.h < 1:
             raise MufiltError(f"h must be a positive integer, got {self.h!r}")
         q = tuple(self.q)
@@ -191,8 +201,7 @@ def hasse_threshold(sig: Signature, tau: int, n: int) -> Fraction:
     threshold.
     """
     sig.check_nondegenerate(tau)
-    if n < 1:
-        raise MufiltError(f"level n must be >= 1, got {n!r}")
+    _check_level(n)
     return min(Fraction(1, 2), _h1_bound(sig, tau)) / sig.p ** ((n - 1) * sig.f)
 
 
@@ -214,8 +223,7 @@ def _h3_bound(sig: Signature, tau: int, n: int) -> Fraction:
 def threshold_h3(sig: Signature, tau: int, n: int) -> Fraction:
     """Level-n refinement (1+K_tau)/p^{(n-1)f} - 2q_tau/(p^{nf}-p^{(n-1)f})."""
     sig.check_nondegenerate(tau)
-    if n < 1:
-        raise MufiltError(f"level n must be >= 1, got {n!r}")
+    _check_level(n)
     return _h3_bound(sig, tau, n)
 
 

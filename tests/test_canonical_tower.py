@@ -211,6 +211,10 @@ class TestAppendixLemma:
         with pytest.raises(MufiltError):
             appendix_lemma_detail(5, 0, 2)
 
+    def test_non_integer_p_rejected(self):
+        with pytest.raises(MufiltError):
+            appendix_lemma_detail(7.0, 2, 1)
+
 
 class TestDualityBookkeeping:
     def test_reference_chain(self, ref_sig):

@@ -77,6 +77,10 @@ class TestRaynaud:
         with pytest.raises(MufiltError):
             RaynaudDatum(f=1, p=4, vdelta=(F(1, 2),))
 
+    def test_non_integer_f_rejected(self):
+        with pytest.raises(MufiltError):
+            RaynaudDatum(f=2.0, p=5, vdelta=(0, 0))
+
     @given(vdelta_strategy, st.sampled_from((2, 3, 5, 7)))
     def test_coker_matches_affine_oracle(self, vdelta, p):
         d = RaynaudDatum(f=len(vdelta), p=p, vdelta=tuple(vdelta))

@@ -36,27 +36,13 @@ exps_strategy = st.tuples(
 
 
 class TestMonomialAlgebra:
-    def test_one_is_identity(self):
-        m = PeriodMonomial(2, (1, 3), 4)
-        assert m * PeriodMonomial.one(3) == m
-        assert PeriodMonomial.one(3) * m == m
-
-    def test_multiplication_adds_exponents(self):
-        a = PeriodMonomial(1, (2, 0), 1)
-        b = PeriodMonomial(3, (0, 5), 2)
-        assert a * b == PeriodMonomial(4, (2, 5), 3)
-
-    def test_mismatched_f_rejected(self):
-        with pytest.raises(MufiltError):
-            PeriodMonomial(1, (1,)) * PeriodMonomial(1, (1, 1))
-
     def test_times_p_touches_only_counter(self):
         m = PeriodMonomial(2, (1,), 0)
         assert m.times_p(3) == PeriodMonomial(2, (1,), 3)
 
     def test_text_rendering(self):
         assert PeriodMonomial(1, (1,), 0).text() == "t_O^1 * (phi^1 t_O / p)^1"
-        assert PeriodMonomial.one(4).text() == "1"
+        assert PeriodMonomial(0, (0, 0, 0)).text() == "1"
         assert PeriodMonomial(0, (0, 2), -1).text() == "(phi^2 t_O / p)^2 * p^-1"
 
     def test_f_property(self):
@@ -145,6 +131,27 @@ class TestMultiplicationMap:
                 mm = multiplication_map(sig, tau)
                 assert mm.K_value == cs.K[tau]
                 assert mm.transport_ok
+
+    def test_K_value_never_reads_constants(self, monkeypatch):
+        # the K sweep compares K_value with constants(sig).K, which shows
+        # something only while the multiplication map does not read constants
+        import mufilt.period_calculus
+        import mufilt.signature_core
+
+        cases = [
+            (sig, tau, constants(sig).K[tau])
+            for sig in iter_signatures(3, 3, (2, 5))
+            for tau in range(sig.f)
+            if not sig.is_degenerate(tau)
+        ]
+
+        def refuse(sig):
+            raise AssertionError("multiplication_map read constants")
+
+        monkeypatch.setattr(mufilt.period_calculus, "constants", refuse)
+        monkeypatch.setattr(mufilt.signature_core, "constants", refuse)
+        for sig, tau, K in cases:
+            assert multiplication_map(sig, tau).K_value == K
 
     def test_coeff_exponents_match_oracle(self):
         for sig in iter_signatures(3, 4, (5,)):
