@@ -22,7 +22,9 @@ from . import polygons as pg
 from . import signature_core as sc
 from .errors import InternalInvariantBreach, MufiltError
 from .serialize import (
-    _parse_list,
+    _fracs,
+    _ints,
+    _read_object,
     desc_json,
     dump_json,
     frac_json,
@@ -50,9 +52,7 @@ def hasse_values(sig: sc.Signature, raw: str | None) -> tuple[str, tuple[Fractio
         data = relaxed_literal(text)
         vals = [Fraction(0)] * sig.f
         for key, value in data.items():
-            t = parse_int(key, "ha map key")
-            if not 0 <= t < sig.f:
-                raise MufiltError(f"ha map key {t} out of range 0..{sig.f - 1}")
+            t = sc._check_index(parse_int(key, "ha map key"), sig.f, "ha map key")
             vals[t] = parse_frac(value)
         return "map", tuple(vals)
     v = parse_frac(text)
@@ -124,6 +124,17 @@ def _certificates(sig, n, human):
     return {"crans": crans, "bijakowski": nested}
 
 
+def _polygons_json(sig, taus, human):
+    return {
+        "hodge": polygon_json(pg.hodge_polygon(sig), human),
+        "reversed_hodge": polygon_json(pg.reversed_hodge(sig), human),
+        "hn_tau": [
+            {"tau": t, "polygon": polygon_json(pg.hn_mu_ordinary_tau(sig, t), human)}
+            for t in taus
+        ],
+    }
+
+
 def build_report_bundle(
     sig: sc.Signature,
     ha_kind: str,
@@ -132,9 +143,10 @@ def build_report_bundle(
     tau: int | None = None,
     human: bool = False,
 ) -> dict:
+    sc._check_level(n)
     consts = sc.constants(sig)
     ok, diags = sc.prime_admissible(sig)
-    taus = [tau] if tau is not None else list(range(sig.f))
+    taus = list(range(sig.f)) if tau is None else [sig.check_embedding(tau)]
     bundle = {
         "signature": signature_json(sig),
         "constants": {
@@ -160,17 +172,7 @@ def build_report_bundle(
             ),
         },
         "thresholds": _threshold_entries(sig, taus, n, human),
-        "polygons": {
-            "hodge": polygon_json(pg.hodge_polygon(sig), human),
-            "reversed_hodge": polygon_json(pg.reversed_hodge(sig), human),
-            "hn_tau": [
-                {
-                    "tau": t,
-                    "polygon": polygon_json(pg.hn_mu_ordinary_tau(sig, t), human),
-                }
-                for t in taus
-            ],
-        },
+        "polygons": _polygons_json(sig, taus, human),
         "towers": [],
         "ptorsion": [],
         "duality": [],
@@ -329,12 +331,16 @@ def _raynaud_cases(per_combo=200, fmax=4):
                 yield (gm.RaynaudDatum(f=f, p=p, vdelta=vd),)
 
 
-def _raynaud_duality(d):
+def _raynaud_identities(d):
+    """Duality flips every degree d -> 1 - d, and the closed-form cokernel
+    degree equals the point-valuation recursion at every slot."""
     desc = gm.raynaud_degrees(d)
     dual = gm.raynaud_degrees(gm.raynaud_dual(d))
-    for t in range(d.f):
+    return tuple(dual.deg) == tuple(1 - x for x in desc.deg) and all(
         gm.raynaud_hodge_tate_coker_degree(d, t)
-    return tuple(dual.deg) == tuple(1 - x for x in desc.deg)
+        == gm._raynaud_point_valuation(d.p, d.vgamma, t)
+        for t in range(d.f)
+    )
 
 
 def _k_match(sig):
@@ -425,7 +431,7 @@ SUITES = {
         ("laws", _sigs(3, 3, (2, 5)), _constant_laws),
     ),
     "hn": (("hn", _sigs(2, 3, _GRID_PRIMES, _levels), _hn_equalities),),
-    "raynaud": (("duality", _raynaud_cases, _raynaud_duality),),
+    "raynaud": (("duality", _raynaud_cases, _raynaud_identities),),
     "periods": (
         ("t-check", lambda: product(range(1, 9), _PRIMES_TO_97),
          pc.t_decomposition_check),
@@ -489,10 +495,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mufilt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_sig(p, required=True):
-        p.add_argument(
-            "--sig", required=required, help="signature literal {f,p,h,q:[...]}"
-        )
+    def add_sig(p):
+        p.add_argument("--sig", required=True, help="signature literal {f,p,h,q:[...]}")
 
     pa = sub.add_parser("analyze", help="full signature report bundle")
     add_sig(pa)
@@ -510,8 +514,9 @@ def _build_parser() -> _Parser:
     pp.add_argument("--json", action="store_true")
 
     ph = sub.add_parser("hn", help="Harder-Narasimhan run on a lattice")
-    add_sig(ph, required=False)
-    ph.add_argument("--lattice", help="lattice JSON file path")
+    source = ph.add_mutually_exclusive_group(required=True)
+    source.add_argument("--sig", help="signature literal {f,p,h,q:[...]}")
+    source.add_argument("--lattice", help="lattice JSON file path")
     ph.add_argument("--n", type=int, default=1)
     ph.add_argument("--mode", choices=("classical", "tau"), default="classical")
     ph.add_argument("--tau", type=int)
@@ -538,11 +543,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_analyze(args) -> int:
     sig = parse_signature(args.sig)
-    if args.tau is not None:
-        sig.check_embedding(args.tau)
     kind, vals = hasse_values(sig, args.ha)
-    if args.n < 1:
-        raise MufiltError(f"--n must be >= 1, got {args.n}")
     bundle = build_report_bundle(
         sig, kind, vals, args.n, tau=args.tau, human=args.human
     )
@@ -552,54 +553,41 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_polygons(args) -> int:
     sig = parse_signature(args.sig)
-    taus = [args.tau] if args.tau is not None else list(range(sig.f))
-    for t in taus:
-        sig.check_embedding(t)
+    taus = list(range(sig.f)) if args.tau is None else [sig.check_embedding(args.tau)]
+    if not args.svg:
+        out = _polygons_json(sig, taus, args.human)
+        out["signature"] = signature_json(sig)
+        sys.stdout.write(dump_json(out))
+        return 0
     items = [
         (pg.hodge_polygon(sig), "hodge"),
         (pg.reversed_hodge(sig), "reversed hodge"),
     ]
     for t in taus:
         items.append((pg.hn_mu_ordinary_tau(sig, t), f"tau profile {t}"))
-    if args.svg:
-        doc = render_polygons(items, title=f"signature {args.sig}")
-        if args.svg == "-":
-            sys.stdout.write(doc)
-        else:
-            try:
-                with open(args.svg, "w", encoding="utf-8") as fh:
-                    fh.write(doc)
-            except OSError as exc:
-                raise MufiltError(f"cannot write SVG file {args.svg!r}: {exc}")
-        return 0
-    out = {
-        "signature": signature_json(sig),
-        "hodge": polygon_json(items[0][0], args.human),
-        "reversed_hodge": polygon_json(items[1][0], args.human),
-        "hn_tau": [
-            {"tau": t, "polygon": polygon_json(poly, args.human)}
-            for t, (poly, _) in zip(taus, items[2:])
-        ],
-    }
-    sys.stdout.write(dump_json(out))
+    doc = render_polygons(items, title=f"signature {args.sig}")
+    if args.svg == "-":
+        sys.stdout.write(doc)
+    else:
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            raise MufiltError(f"cannot write SVG file {args.svg!r}: {exc}")
     return 0
 
 
 def _cmd_hn(args) -> int:
-    if args.lattice and args.sig:
-        raise MufiltError("pass either --sig or --lattice, not both")
     if args.mode == "tau" and args.tau is None:
         raise MufiltError("--mode tau needs --tau")
-    if args.sig:
+    if args.sig is not None:
         sig = parse_signature(args.sig)
-        if args.n < 1:
-            raise MufiltError(f"--n must be >= 1, got {args.n}")
         nodes = gm.enumerate_split_subgroups(
             gm.mu_ordinary_product(sig, args.n)
         )
         pairs = None
         f, p = sig.f, sig.p
-    elif args.lattice:
+    else:
         try:
             with open(args.lattice, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -612,8 +600,6 @@ def _cmd_hn(args) -> int:
         p = args.p if args.p else 2
         if args.mode == "tau" and not args.p:
             raise MufiltError("--mode tau on a lattice file needs --p")
-    else:
-        raise MufiltError("pass --sig or --lattice")
     if args.mode == "classical":
         w = hn.classical_weighting(p, f)
     else:
@@ -630,27 +616,19 @@ def _cmd_hn(args) -> int:
 
 
 def _cmd_raynaud(args) -> int:
-    data = relaxed_literal(args.datum)
-    try:
-        f = parse_int(data["f"], "f")
-        p = parse_int(data["p"], "p")
-        vdelta = tuple(
-            parse_frac(v) for v in _parse_list(data["vdelta"], "vdelta")
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MufiltError(f"datum needs f, p, vdelta: {exc}")
-    d = gm.RaynaudDatum(f=f, p=p, vdelta=vdelta)
+    fields = {"f": parse_int, "p": parse_int, "vdelta": _fracs}
+    d = gm.RaynaudDatum(**_read_object(args.datum, "datum", fields))
     desc = gm.raynaud_degrees(d)
     out = {
         "datum": {
-            "f": f,
-            "p": p,
+            "f": d.f,
+            "p": d.p,
             "vdelta": [frac_json(v, args.human) for v in d.vdelta],
         },
         "degrees": desc_json(desc, args.human),
         "hodge_tate_coker": [
             frac_json(gm.raynaud_hodge_tate_coker_degree(d, t), args.human)
-            for t in range(f)
+            for t in range(d.f)
         ],
         "dual_vdelta": [
             frac_json(v, args.human) for v in gm.raynaud_dual(d).vdelta
@@ -662,11 +640,10 @@ def _cmd_raynaud(args) -> int:
 
 def _cmd_periods(args) -> int:
     sig = parse_signature(args.sig)
-    taus = [args.tau] if args.tau is not None else list(range(sig.f))
+    taus = list(range(sig.f)) if args.tau is None else [sig.check_embedding(args.tau)]
     K = sc.constants(sig).K
     entries = []
     for t in taus:
-        sig.check_embedding(t)
         if sig.is_degenerate(t):
             entries.append({"tau": t, "degenerate": True})
             continue
@@ -697,18 +674,8 @@ def _cmd_periods(args) -> int:
 
 
 def _cmd_lts(args) -> int:
-    data = relaxed_literal(args.model)
-    try:
-        model = lt.LTSModel(
-            f=parse_int(data["f"], "f"),
-            p=parse_int(data["p"], "p"),
-            S=frozenset(
-                parse_int(x, "S entry") for x in _parse_list(data["S"], "S")
-            ),
-            tau0=parse_int(data["tau0"], "tau0"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MufiltError(f"model needs f, p, S, tau0: {exc}")
+    fields = {"f": parse_int, "p": parse_int, "S": _ints, "tau0": parse_int}
+    model = lt.LTSModel(**_read_object(args.model, "model", fields))
     gen = lt.tate_generator(model)
     check = lt.verify_phi_eq_p(model)
     exponents = list(lt.frobenius_matrix(model))

@@ -17,6 +17,7 @@ from .errors import EnumerationCapExceeded, InternalInvariantBreach, MufiltError
 from .signature_core import (
     Signature,
     _check_f_p,
+    _check_index,
     _check_level,
     _frobenius_weights,
     ladder_index,
@@ -141,23 +142,14 @@ def raynaud_hodge_tate_coker_degree(d: RaynaudDatum, tau: int) -> Fraction:
     """Valuation of the Hodge-Tate cokernel at a slot.
 
     Closed form: the Frobenius-weighted degree at tau divided by p^f - 1,
-    with deg_{sigma^j tau_i} = v(gamma_{i+j}).  Cross-checked on every call
-    against the point-valuation recursion coming from the defining
-    equations x_i^p = gamma_{i+1} x_{i+1}; a mismatch would mean the index
-    convention broke.
+    with deg_{sigma^j tau_i} = v(gamma_{i+j}).  The raynaud verify suite
+    and the tests check it against _raynaud_point_valuation, the recursion
+    coming from the defining equations x_i^p = gamma_{i+1} x_{i+1}.
     """
-    if not 0 <= tau < d.f:
-        raise MufiltError(f"slot {tau!r} out of range 0..{d.f - 1}")
+    _check_index(tau, d.f, "slot")
     f, p = d.f, d.p
     weights = _frobenius_weights(p, f, tau)
-    weighted = sum(c * g for c, g in zip(weights, d.vgamma))
-    formula = weighted / (p**f - 1)
-    oracle = _raynaud_point_valuation(p, d.vgamma, tau)
-    if formula != oracle:
-        raise InternalInvariantBreach(
-            f"Raynaud cokernel mismatch at slot {tau}: {formula} vs {oracle}"
-        )
-    return formula
+    return sum(c * g for c, g in zip(weights, d.vgamma)) / (p**f - 1)
 
 
 def _raynaud_point_valuation(p: int, vgamma, slot: int) -> Fraction:

@@ -31,9 +31,10 @@ from .polygons import Polygon
 from .signature_core import (
     Signature,
     _check_f_p,
+    _check_index,
     _check_level,
     _frobenius_weights,
-    constants,
+    constants,  # unused here; bench/test_bench.py checks the tracer wraps this binding
 )
 
 
@@ -55,10 +56,7 @@ class DegreeWeighting:
         _check_f_p(self.f, self.p)
         weights = (1,) * self.f
         if self.mode == "tau":
-            if self.tau is None or not 0 <= self.tau < self.f:
-                raise MufiltError(
-                    f"tau mode needs an embedding in 0..{self.f - 1}, got {self.tau!r}"
-                )
+            _check_index(self.tau, self.f, "tau mode embedding")
             weights = _frobenius_weights(self.p, self.f, self.tau)
         elif self.tau is not None:
             raise MufiltError("classical mode takes no embedding")

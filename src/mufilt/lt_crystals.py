@@ -18,7 +18,7 @@ from .period_calculus import (
     graded_valuation,
     monomial_frobenius,
 )
-from .signature_core import _check_f_p
+from .signature_core import _check_f_p, _check_index
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ class LTSModel:
             raise MufiltError(f"S={sorted(S)} outside 0..{self.f - 1}")
         if len(S) == self.f:
             raise MufiltError("S must be a proper subset of the embeddings")
-        if not 0 <= self.tau0 < self.f:
-            raise MufiltError(f"tau0={self.tau0!r} out of range 0..{self.f - 1}")
+        _check_index(self.tau0, self.f, "tau0")
         if self.tau0 in S:
             raise MufiltError(f"tau0={self.tau0} must lie outside S")
 

@@ -85,6 +85,14 @@ def _parse_list(obj, what: str):
     return obj
 
 
+def _ints(obj, what: str) -> tuple[int, ...]:
+    return tuple(parse_int(x, f"{what} entry") for x in _parse_list(obj, what))
+
+
+def _fracs(obj, what: str) -> tuple[Fraction, ...]:
+    return tuple(parse_frac(x) for x in _parse_list(obj, what))
+
+
 _BARE_KEY = re.compile(r'([{\s,])([A-Za-z_][A-Za-z0-9_]*|\d+)\s*:')
 _BARE_FRAC = re.compile(r'(?<![\w".])(-?\d+)\s*/\s*(\d+)(?![\w".])')
 
@@ -103,19 +111,33 @@ def relaxed_literal(text: str):
         raise MufiltError(f"cannot parse literal {text!r}: {exc}")
 
 
-def parse_signature(obj) -> Signature:
+def _read_object(obj, what: str, fields: dict, optional: dict = {}) -> dict:
+    """Read a literal object (a dict, or text for relaxed_literal) whose keys
+    are exactly `fields` plus any of `optional`.  Each value is read by its
+    reader(value, key); the result maps the keys present to what was read."""
     if isinstance(obj, str):
         obj = relaxed_literal(obj)
     if not isinstance(obj, dict):
-        raise MufiltError(f"signature literal must be an object, got {obj!r}")
-    try:
-        f = parse_int(obj["f"], "f")
-        p = parse_int(obj["p"], "p")
-        h = parse_int(obj["h"], "h")
-        q = tuple(parse_int(x, "q entry") for x in _parse_list(obj["q"], "q"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MufiltError(f"signature literal needs f, p, h, q: {exc}")
-    return Signature(f=f, p=p, h=h, q=q)
+        raise MufiltError(f"{what} must be an object, got {obj!r}")
+    keys = obj.keys()
+    if keys != fields.keys():
+        unknown = keys - fields.keys() - optional.keys()
+        missing = fields.keys() - keys
+        if unknown or missing:
+            raise MufiltError(
+                f"{what} has unknown keys {sorted(unknown)}"
+                f" and missing keys {sorted(missing)}"
+            )
+    out = {key: read(obj[key], key) for key, read in fields.items()}
+    for key, read in optional.items():
+        if key in obj:
+            out[key] = read(obj[key], key)
+    return out
+
+
+def parse_signature(obj) -> Signature:
+    fields = {"f": parse_int, "p": parse_int, "h": parse_int, "q": _ints}
+    return Signature(**_read_object(obj, "signature literal", fields))
 
 
 def signature_json(sig: Signature) -> dict:
@@ -133,16 +155,18 @@ def polygon_json(poly: Polygon, human: bool = False) -> dict:
     return {"convexity": poly.convexity, "points": pts}
 
 
-def parse_polygon(obj) -> Polygon:
-    if not isinstance(obj, dict) or "points" not in obj or "convexity" not in obj:
-        raise MufiltError("polygon object needs convexity and points")
+def _points(obj, what: str) -> tuple:
     pts = []
-    for entry in obj["points"]:
+    for entry in _parse_list(obj, what):
         if not isinstance(entry, (list, tuple)) or len(entry) < 4:
             raise MufiltError(f"polygon point {entry!r} needs four integers")
-        xn, xd, yn, yd = entry[:4]
-        pts.append((Fraction(xn, xd), Fraction(yn, yd)))
-    return Polygon(tuple(pts), obj["convexity"])
+        pts.append((parse_frac(entry[:2]), parse_frac(entry[2:4])))
+    return tuple(pts)
+
+
+def parse_polygon(obj) -> Polygon:
+    fields = {"points": _points, "convexity": lambda value, key: value}
+    return Polygon(**_read_object(obj, "polygon object", fields))
 
 
 def monomial_json(m, human: bool = False) -> dict:
@@ -162,45 +186,38 @@ def desc_json(desc: FiniteOModuleDesc, human: bool = False) -> dict:
 
 
 def parse_desc(obj) -> FiniteOModuleDesc:
-    if not isinstance(obj, dict):
-        raise MufiltError(f"descriptor must be an object, got {obj!r}")
-    try:
-        ht = parse_int(obj["o_height"], "o_height")
-        deg = tuple(parse_frac(d) for d in _parse_list(obj["deg"], "deg"))
-        level = parse_int(obj["level"], "level")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MufiltError(f"descriptor needs o_height, deg, level: {exc}")
-    if "torsion" in obj:
-        return SplitSubgroupDesc(
-            o_height=ht,
-            deg=deg,
-            level=level,
-            torsion=tuple(
-                parse_int(s, "torsion entry")
-                for s in _parse_list(obj["torsion"], "torsion")
-            ),
-        )
-    return FiniteOModuleDesc(o_height=ht, deg=deg, level=level)
+    fields = {"o_height": parse_int, "deg": _fracs, "level": parse_int}
+    data = _read_object(obj, "descriptor", fields, {"torsion": _ints})
+    if "torsion" in data:
+        return SplitSubgroupDesc(**data)
+    return FiniteOModuleDesc(**data)
+
+
+def _nodes(obj, what: str) -> list[FiniteOModuleDesc]:
+    return [parse_desc(node) for node in _parse_list(obj, what)]
+
+
+def _pairs(obj, what: str) -> list[tuple[int, int]] | None:
+    if obj is None:
+        return None
+    pairs = []
+    for pair in _parse_list(obj, what):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise MufiltError(f"containment pair {pair!r} must be [i, j]")
+        i, j = pair
+        pairs.append((parse_int(i, "node index"), parse_int(j, "node index")))
+    return pairs
 
 
 def parse_lattice(obj) -> tuple[list[FiniteOModuleDesc], list | None]:
-    """Read a lattice file: {nodes: [...], containment: [[i,j],...]?}."""
+    """Read a lattice file: {nodes: [...], containment: [[i,j],...]?}; a bare
+    list is the nodes, and a null or absent containment means no pairs."""
     if isinstance(obj, str):
         obj = relaxed_literal(obj)
     if isinstance(obj, list):
         obj = {"nodes": obj}
-    if not isinstance(obj, dict) or "nodes" not in obj:
-        raise MufiltError("lattice input needs a nodes list")
-    nodes = [parse_desc(n) for n in obj["nodes"]]
-    pairs = None
-    if obj.get("containment") is not None:
-        pairs = []
-        for pair in obj["containment"]:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise MufiltError(f"containment pair {pair!r} must be [i, j]")
-            i, j = pair
-            pairs.append((parse_int(i, "node index"), parse_int(j, "node index")))
-    return nodes, pairs
+    data = _read_object(obj, "lattice", {"nodes": _nodes}, {"containment": _pairs})
+    return data["nodes"], data.get("containment")
 
 
 def dump_json(data) -> str:

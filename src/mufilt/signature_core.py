@@ -63,9 +63,16 @@ def _check_f_p(f: int, p: int) -> None:
         raise MufiltError(f"p must be prime, got {p!r}")
 
 
+def _check_index(i: int, f: int, what: str) -> int:
+    """The one guard on an embedding (or slot) index: an integer in 0..f-1."""
+    if not isinstance(i, int) or not 0 <= i < f:
+        raise MufiltError(f"{what} {i!r} out of range 0..{f - 1}")
+    return i
+
+
 def _check_level(n: int) -> None:
-    if n < 1:
-        raise MufiltError(f"level n must be >= 1, got {n!r}")
+    if not isinstance(n, int) or n < 1:
+        raise MufiltError(f"level n must be an integer >= 1, got {n!r}")
 
 
 def _frobenius_weights(p: int, f: int, tau: int) -> tuple[int, ...]:
@@ -116,11 +123,7 @@ class Signature:
         return (tau + j) % self.f
 
     def check_embedding(self, tau: int) -> int:
-        if not isinstance(tau, int) or not 0 <= tau < self.f:
-            raise MufiltError(
-                f"embedding index {tau!r} out of range 0..{self.f - 1}"
-            )
-        return tau
+        return _check_index(tau, self.f, "embedding index")
 
     def is_degenerate(self, tau: int) -> bool:
         """True when q_tau is 0 or h: such an embedding carries no

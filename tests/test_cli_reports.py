@@ -9,12 +9,14 @@ import pytest
 import mufilt.cli_reports as cli
 from mufilt import (
     InternalNonIntegral,
+    MufiltError,
     Polygon,
     RaynaudDatum,
+    hodge_polygon,
     raynaud_degrees,
     raynaud_hodge_tate_coker_degree,
 )
-from mufilt.cli_reports import run_command
+from mufilt.cli_reports import build_report_bundle, run_command
 from mufilt.serialize import (
     approx_str,
     parse_frac,
@@ -24,6 +26,7 @@ from mufilt.serialize import (
     polygon_json,
     relaxed_literal,
 )
+from mufilt.svg import render_polygons
 
 F = Fraction
 
@@ -130,12 +133,55 @@ class TestInputErrors:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "prime" in err
 
-    def test_svg_title_is_escaped(self, capsys):
-        sig = '{f:1,p:2,h:1,q:[0],x:"</text><script>alert(1)</script>"}'
-        code, out, _ = run(capsys, "polygons", "--sig", sig, "--svg", "-")
-        assert code == 0
-        assert "<script" not in out
-        assert "&lt;/text&gt;&lt;script&gt;" in out
+    def test_svg_title_is_escaped(self):
+        items = [(hodge_polygon(parse_signature(SIG)), "hodge")]
+        doc = render_polygons(items, title="</text><script>alert(1)</script>")
+        assert "<script" not in doc
+        assert "&lt;/text&gt;&lt;script&gt;" in doc
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["polygons", "--sig",
+              '{f:1,p:2,h:1,q:[0],x:"</text><script>alert(1)</script>"}',
+              "--svg", "-"], "x"),
+            (["analyze", "--sig", "{f:2,p:7,h:3,q:[1,2],n:2}"], "n"),
+            (["periods", "--sig", "{f:2,p:7,h:3,q:[1,2],tau:0}"], "tau"),
+            (["lts", "--model", "{f:2,p:5,S:[0],tau0:1,tau:7}"], "tau"),
+            (["raynaud", "--datum", "{f:2,p:5,vdelta:[1/2,1/3],tau:9}"], "tau"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, capsys, argv, key):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"unknown keys [{key!r}]" in err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"nodes": [{"o_height": 0, "deg": [0], "level": 1, "id": 7}]}', "id"),
+            ('{"nodes": [{"o_height": 0, "deg": [0], "level": 1}], "order": []}',
+             "order"),
+        ],
+    )
+    def test_lattice_unknown_keys_rejected(self, capsys, tmp_path, text, key):
+        path = tmp_path / "lattice.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "hn", "--lattice", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"unknown keys [{key!r}]" in err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["raynaud", "--datum", "{f:2,p:5}"], "vdelta"),
+            (["analyze", "--sig", "{f:2,p:7,q:[1,2]}"], "h"),
+        ],
+    )
+    def test_missing_key_named(self, capsys, argv, key):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"missing keys [{key!r}]" in err
 
 
 class TestAnalyze:
@@ -217,6 +263,16 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--sig", SIG, "--n", "0")
         assert code == 1 and err.startswith("error:")
 
+    def test_bundle_rejects_level_zero(self):
+        with pytest.raises(MufiltError, match="level n"):
+            build_report_bundle(parse_signature(SIG), "scalar", (F(0), F(0)), 0)
+
+    def test_bundle_rejects_tau_out_of_range(self):
+        with pytest.raises(MufiltError, match="out of range"):
+            build_report_bundle(
+                parse_signature(SIG), "scalar", (F(0), F(0)), 1, tau=2
+            )
+
     def test_ha_map_key_out_of_range(self, capsys):
         code, _, err = run(
             capsys, "analyze", "--sig", SIG, "--ha", "{5:1/100}"
@@ -292,6 +348,10 @@ class TestHNCommand:
         path.write_text("{nodes:[]}", encoding="utf-8")
         code, _, err = run(capsys, "hn", "--sig", SIG, "--lattice", str(path))
         assert code == 1 and err.startswith("error:")
+
+    def test_needs_sig_or_lattice(self, capsys):
+        code, out, err = run(capsys, "hn")
+        assert code == 1 and out == "" and err.startswith("error:")
 
     def test_tau_mode_needs_tau(self, capsys):
         code, _, err = run(capsys, "hn", "--sig", SIG, "--mode", "tau")
@@ -443,5 +503,11 @@ class TestSerializeHelpers:
         assert pairs == [(0, 0)]
         nodes, pairs = parse_lattice(
             '[{"o_height": 0, "deg": [0], "level": 1}]'
+        )
+        assert pairs is None
+
+    def test_parse_lattice_null_containment(self):
+        _, pairs = parse_lattice(
+            '{"nodes": [{"o_height": 0, "deg": [0], "level": 1}], "containment": null}'
         )
         assert pairs is None

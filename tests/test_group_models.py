@@ -81,6 +81,11 @@ class TestRaynaud:
         with pytest.raises(MufiltError):
             RaynaudDatum(f=2.0, p=5, vdelta=(0, 0))
 
+    def test_non_integer_slot_rejected(self):
+        d = RaynaudDatum(f=2, p=5, vdelta=(F(1, 2), F(1, 3)))
+        with pytest.raises(MufiltError, match="out of range"):
+            raynaud_hodge_tate_coker_degree(d, 1.0)
+
     @given(vdelta_strategy, st.sampled_from((2, 3, 5, 7)))
     def test_coker_matches_affine_oracle(self, vdelta, p):
         d = RaynaudDatum(f=len(vdelta), p=p, vdelta=tuple(vdelta))

@@ -60,6 +60,10 @@ class TestWeighting:
         with pytest.raises(MufiltError):
             DegreeWeighting(mode="classical", p=7.0, f=2)
 
+    def test_non_integer_tau_rejected(self):
+        with pytest.raises(MufiltError, match="out of range"):
+            tau_weighting(7, 2, 1.0)
+
     def test_deg_weighted_reference(self):
         # Deg_tau weights deg_{sigma^j tau} by p^{f-j}, tau itself at j=f
         w = tau_weighting(7, 2, 1)

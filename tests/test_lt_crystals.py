@@ -60,6 +60,10 @@ class TestModelValidation:
         with pytest.raises(MufiltError):
             LTSModel(f=2, p=5, S=frozenset(), tau0=2)
 
+    def test_non_integer_tau0_rejected(self):
+        with pytest.raises(MufiltError, match="out of range"):
+            LTSModel(f=2, p=5, S=frozenset({0}), tau0=1.0)
+
     def test_tau0_inside_S(self):
         with pytest.raises(MufiltError):
             LTSModel(f=2, p=5, S=frozenset({0}), tau0=0)

@@ -71,6 +71,10 @@ class TestValidation:
         with pytest.raises(MufiltError):
             ref_sig.check_embedding(-1)
 
+    def test_embedding_must_be_integer(self, ref_sig):
+        with pytest.raises(MufiltError, match="out of range"):
+            ref_sig.check_embedding(1.0)
+
     def test_p_values(self, ref_sig):
         assert ref_sig.p_values == (2, 1)
 
@@ -180,6 +184,11 @@ class TestThresholds:
         for n in (2, 3, 4):
             expected = base / ref_sig.p ** ((n - 1) * ref_sig.f)
             assert hasse_threshold(ref_sig, 1, n) == expected
+
+    def test_non_integer_level_rejected(self, ref_sig):
+        # a float level would turn the exact threshold into a float
+        with pytest.raises(MufiltError, match="level n"):
+            hasse_threshold(ref_sig, 1, 1.5)
 
     def test_degenerate_embedding_rejected(self):
         sig = Signature(f=2, p=7, h=3, q=(0, 3))
