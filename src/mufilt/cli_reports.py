@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 rejected input or failed verification suite,
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -491,7 +492,10 @@ class _Parser(argparse.ArgumentParser):
         raise MufiltError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built on the first call and shared after it:
+    parse_args keeps no state between calls."""
     parser = _Parser(prog="mufilt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -517,7 +521,7 @@ def _build_parser() -> _Parser:
     source = ph.add_mutually_exclusive_group(required=True)
     source.add_argument("--sig", help="signature literal {f,p,h,q:[...]}")
     source.add_argument("--lattice", help="lattice JSON file path")
-    ph.add_argument("--n", type=int, default=1)
+    ph.add_argument("--n", type=int, help="level for --sig (default 1)")
     ph.add_argument("--mode", choices=("classical", "tau"), default="classical")
     ph.add_argument("--tau", type=int)
     ph.add_argument("--p", type=int, help="prime for tau weights on lattice input")
@@ -583,11 +587,15 @@ def _cmd_hn(args) -> int:
     if args.sig is not None:
         sig = parse_signature(args.sig)
         nodes = gm.enumerate_split_subgroups(
-            gm.mu_ordinary_product(sig, args.n)
+            gm.mu_ordinary_product(sig, 1 if args.n is None else args.n)
         )
         pairs = None
         f, p = sig.f, sig.p
     else:
+        if args.n is not None:
+            raise MufiltError(
+                "--n applies to --sig only: a lattice file carries its own levels"
+            )
         try:
             with open(args.lattice, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -731,9 +739,8 @@ _COMMANDS = {
 
 def run_command(argv) -> int:
     """Parse argv and run one subcommand; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except MufiltError as exc:
         sys.stderr.write(f"error: {exc}\n")

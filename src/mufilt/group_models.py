@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import EnumerationCapExceeded, InternalInvariantBreach, MufiltError
+from .errors import EnumerationCapExceeded, MufiltError
 from .signature_core import (
     Signature,
     _check_f_p,
@@ -207,6 +207,9 @@ def enumerate_split_subgroups(
     The mult_l copies of one factor contribute interchangeably, so a
     subgroup is determined by the total torsion s_l in [0, n*mult_l] per
     factor.  Output sorted by (height, total degree, degree sequence).
+    Distinct torsion vectors give distinct (height, degrees): the factor
+    sets strictly increase, so the degree at an embedding first met in
+    factor l is s_l + ... + s_r, and the height recovers s_0.
     """
     if cap is None:
         cap = enumeration_cap()
@@ -218,7 +221,6 @@ def enumerate_split_subgroups(
     if required > cap:
         raise EnumerationCapExceeded(cap, required)
     subsets = [A for A, _ in G.factors]
-    seen: dict[tuple, tuple[int, ...]] = {}
     out = []
     for sums in product(*(range(r) for r in ranges)):
         ht = sum(sums)
@@ -226,12 +228,6 @@ def enumerate_split_subgroups(
         for A, s in zip(subsets, sums):
             for t in A:
                 deg[t] += s
-        key = (ht, tuple(deg))
-        if key in seen:
-            raise InternalInvariantBreach(
-                f"split descriptors {seen[key]} and {sums} collide on {key}"
-            )
-        seen[key] = sums
         out.append(
             SplitSubgroupDesc(
                 o_height=ht, deg=tuple(deg), level=n, torsion=sums

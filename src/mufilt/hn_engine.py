@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .errors import (
@@ -71,17 +72,13 @@ def tau_weighting(p: int, f: int, tau: int) -> DegreeWeighting:
     return DegreeWeighting(mode="tau", p=p, f=f, tau=tau)
 
 
-def _weighted(deg, w: DegreeWeighting) -> Fraction:
-    if len(deg) != w.f:
-        raise DimensionMismatch(
-            f"descriptor has {len(deg)} partial degrees, weighting expects {w.f}"
-        )
-    return sum(map(mul, deg, w.weights), Fraction(0))
-
-
 def deg_weighted(desc: FiniteOModuleDesc, w: DegreeWeighting) -> Fraction:
     """Weighted degree of a descriptor under the chosen mode."""
-    return _weighted(desc.deg, w)
+    if desc.f != w.f:
+        raise DimensionMismatch(
+            f"descriptor has {desc.f} partial degrees, weighting expects {w.f}"
+        )
+    return sum(map(mul, desc.deg, w.weights), Fraction(0))
 
 
 def slope_mu(desc: FiniteOModuleDesc, w: DegreeWeighting) -> Fraction:
@@ -177,8 +174,18 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
     if not tops:
         raise NotALattice("no top object among the nodes")
     top = tops[0]
-    # Deg is linear, so a quotient's degree is the difference of two of these
-    degs = [_weighted(d.deg, w) for d in nodes]
+    # Integer selection: every partial degree is held over one common
+    # denominator L, and Deg is linear, so a quotient's weighted degree is
+    # the difference of two node totals.  A slope is that difference over
+    # L * f * (height difference); slopes are compared by cross-multiplying
+    # with the positive height differences, and Fractions are built only
+    # for the node each step picks.
+    L = lcm(*(d.denominator for node in nodes for d in node.deg))
+    ideg = [
+        tuple(d.numerator * (L // d.denominator) for d in node.deg) for node in nodes
+    ]
+    ht = [node.o_height for node in nodes]
+    tot = [sum(map(mul, row, w.weights)) for row in ideg]
 
     current = bottom
     filtration = [nodes[bottom]]
@@ -188,17 +195,13 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
     y = Fraction(0)
     while current != top:
         best = None
-        best_slope = None
-        best_dht = None
         tie = False
-        cur = nodes[current]
+        cur_ht, cur_deg, cur_tot = ht[current], ideg[current], tot[current]
         for j in range(n):
             if j == current or not leq(current, j):
                 continue
-            cand = nodes[j]
-            dht = cand.o_height - cur.o_height
-            ddeg = tuple(a - b for a, b in zip(cand.deg, cur.deg))
-            if dht < 0 or any(d < 0 for d in ddeg):
+            dht = ht[j] - cur_ht
+            if dht < 0 or any(a < b for a, b in zip(ideg[j], cur_deg)):
                 raise AdditivityViolation(
                     f"quotient of node {j} by node {current} has a negative component"
                 )
@@ -207,20 +210,14 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
                 raise AdditivityViolation(
                     f"nodes {current} and {j} are ordered but have equal height"
                 )
-            slope = (degs[j] - degs[current]) / (w.f * dht)
-            if (
-                best is None
-                or slope > best_slope
-                or (slope == best_slope and dht > best_dht)
-            ):
-                best, best_slope, best_dht = j, slope, dht
+            dtot = tot[j] - cur_tot
+            # the sign of slope(j) - slope(best)
+            cmp = 1 if best is None else dtot * best_dht - best_dtot * dht
+            if cmp > 0 or (cmp == 0 and dht > best_dht):
+                best, best_dht, best_dtot = j, dht, dtot
                 tie = False
-            elif slope == best_slope and dht == best_dht and j != best:
-                if (nodes[j].o_height, nodes[j].deg) != (
-                    nodes[best].o_height,
-                    nodes[best].deg,
-                ):
-                    tie = True
+            elif cmp == 0 and dht == best_dht and ideg[j] != ideg[best]:
+                tie = True
         if best is None:
             raise NotALattice(
                 f"no node lies strictly above node {current} on the way to the top"
@@ -229,23 +226,21 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
             raise AmbiguousLattice(
                 f"two distinct maximal-slope subobjects above node {current}"
             )
+        best_slope = Fraction(best_dtot, L * w.f * best_dht)
         if slopes and not best_slope < slopes[-1]:
             raise InternalInvariantBreach(
                 "maximal-slope selection produced a non-decreasing slope"
             )
-        cur_best = nodes[best]
-        dht = cur_best.o_height - cur.o_height
-        x += dht
+        x += best_dht
         # Classical ordinates are the average partial degree, so segments
         # have slope mu and renormalize(polygon, n) is the reversed Hodge
         # polygon.  Tau ordinates keep the weighted degree Deg_tau itself:
         # segments have slope f * mu, and the renormalized polygon is f
         # times hn_mu_ordinary_tau, whose 1/f already sits in the profile.
-        dy = degs[best] - degs[current]
-        y += dy / w.f if w.mode == "classical" else dy
+        y += Fraction(best_dtot, L * w.f if w.mode == "classical" else L)
         points.append((x, y))
         slopes.append(best_slope)
-        filtration.append(cur_best)
+        filtration.append(nodes[best])
         current = best
     polygon = Polygon(tuple(points), "concave")
     return HNResult(

@@ -97,16 +97,26 @@ _BARE_KEY = re.compile(r'([{\s,])([A-Za-z_][A-Za-z0-9_]*|\d+)\s*:')
 _BARE_FRAC = re.compile(r'(?<![\w".])(-?\d+)\s*/\s*(\d+)(?![\w".])')
 
 
+def _unique_keys(pairs) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        raise MufiltError(f"literal repeats keys {repeated}")
+    return obj
+
+
 def relaxed_literal(text: str):
     """Parse a compact literal like {f:2,p:7,h:3,q:[1,2]} into JSON data.
 
     Bare keys are quoted, and a/b fraction tokens become "a/b" strings so
-    they survive json parsing.
+    they survive json parsing.  A key repeated within one object is
+    rejected, where json.loads alone would keep the last value.
     """
     quoted = _BARE_KEY.sub(r'\1"\2":', text.strip())
     quoted = _BARE_FRAC.sub(r'"\1/\2"', quoted)
     try:
-        return json.loads(quoted)
+        return json.loads(quoted, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise MufiltError(f"cannot parse literal {text!r}: {exc}")
 

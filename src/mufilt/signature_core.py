@@ -165,7 +165,13 @@ def constants(sig: Signature) -> SignatureConstants:
     K_tau is the _frobenius_weights dot product with the defects
     max(0, q_tau - q_u), divided by p^f - 1: the weight of sigma^{-j} tau
     is p^j, and tau's own defect is 0.
+
+    Computed once per Signature instance and kept on it as _constants,
+    outside the dataclass fields, so equality, hash and repr ignore it.
     """
+    cached = vars(sig).get("_constants")
+    if cached is not None:
+        return cached
     f, p, q = sig.f, sig.p, sig.q
     pv = sig.p_values
     denom = p**f - 1
@@ -182,7 +188,9 @@ def constants(sig: Signature) -> SignatureConstants:
         r.append(sum(1 for qu in q if qu <= q[t]))
         n.append(sum(1 for qu in q if qu == q[t]))
         kd.append(sum(max(0, pv[t] - pu) for pu in pv))
-    return SignatureConstants(tuple(k), tuple(K), tuple(r), tuple(n), tuple(kd))
+    consts = SignatureConstants(tuple(k), tuple(K), tuple(r), tuple(n), tuple(kd))
+    object.__setattr__(sig, "_constants", consts)
+    return consts
 
 
 def dual_signature(sig: Signature) -> Signature:

@@ -223,6 +223,58 @@ def split_subgroups_bruteforce(f, factors, n):
     return descs
 
 
+
+def hn_selection_reference(nodes, pairs, weights, classical):
+    """Greedy HN selection in Fractions, one candidate list per step.
+
+    nodes: (height, partial degrees) pairs; pairs: (i, j) containments,
+    closed here by search; weights: the degree weight per embedding.
+    Returns (chosen node indices, slopes, polygon points), or the string
+    "additivity" or "ambiguous" when the selection must stop there.
+    """
+    n = len(nodes)
+    f = len(weights)
+    up = {i: {j for a, j in pairs if a == i} for i in range(n)}
+    above = []
+    for i in range(n):
+        seen, stack = {i}, [i]
+        while stack:
+            for j in up[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        above.append(seen)
+    bottom = next(i for i, (h, deg) in enumerate(nodes) if h == 0 and not any(deg))
+    top = next(j for j in range(n) if all(j in above[i] for i in range(n)))
+
+    def Deg(i):
+        return sum(Fraction(c) * d for c, d in zip(weights, nodes[i][1]))
+
+    chain, slopes = [bottom], []
+    points = [(Fraction(0), Fraction(0))]
+    while chain[-1] != top:
+        cur = chain[-1]
+        cands = []
+        for j in sorted(above[cur] - {cur}):
+            dht = nodes[j][0] - nodes[cur][0]
+            lower = any(a < b for a, b in zip(nodes[j][1], nodes[cur][1]))
+            if dht <= 0 or lower:
+                return "additivity"
+            cands.append(((Deg(j) - Deg(cur)) / (f * dht), dht, j))
+        key = max((s, d) for s, d, _ in cands)
+        winners = [j for s, d, j in cands if (s, d) == key]
+        if len({(nodes[j][0], tuple(nodes[j][1])) for j in winners}) > 1:
+            return "ambiguous"
+        slope, dht = key
+        j = winners[0]
+        x, y = points[-1]
+        rise = slope * f * dht
+        points.append((x + dht, y + (rise / f if classical else rise)))
+        chain.append(j)
+        slopes.append(slope)
+    return chain, slopes, points
+
+
 # === period monomials =======================================================
 
 def frobenius_replay(a, b, c):

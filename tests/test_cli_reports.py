@@ -183,6 +183,40 @@ class TestInputErrors:
         assert code == 1 and out == ""
         assert err.startswith("error:") and f"missing keys [{key!r}]" in err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["periods", "--sig", "{f:2,p:7,h:3,q:[1,2],q:[0,0]}"], "q"),
+            (["analyze", "--sig", SIG, "--ha", "{0:1/2,0:1/3}"], "0"),
+            (["raynaud", "--datum", "{f:2,p:5,vdelta:[1/2,1/3],f:2}"], "f"),
+        ],
+    )
+    def test_repeated_keys_rejected(self, capsys, argv, key):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"repeats keys [{key!r}]" in err
+
+    def test_repeated_key_in_lattice_node_rejected(self, capsys, tmp_path):
+        path = tmp_path / "lattice.json"
+        node = '{"o_height": 0, "deg": [0], "level": 1, "level": 1}'
+        path.write_text('{"nodes": [%s]}' % node)
+        code, out, err = run(capsys, "hn", "--lattice", str(path))
+        assert code == 1 and out == ""
+        assert "repeats keys ['level']" in err
+
+    def test_level_rejected_on_lattice_input(self, capsys):
+        for n in ("0", "1", "2"):
+            code, out, err = run(capsys, "hn", "--lattice", LATTICE, "--n", n)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "carries its own levels" in err
+
+    def test_level_defaults_to_one_on_signature_input(self, capsys):
+        _, default, _ = run(capsys, "hn", "--sig", SIG)
+        _, one, _ = run(capsys, "hn", "--sig", SIG, "--n", "1")
+        assert default == one and json.loads(default)["nodes"] == 8
+        code, out, err = run(capsys, "hn", "--sig", SIG, "--n", "0")
+        assert code == 1 and out == "" and "level n" in err
+
 
 class TestAnalyze:
     def test_deterministic_output(self, capsys):

@@ -50,3 +50,29 @@ def test_stdout_matches_golden(name, capsys):
     assert run_command(list(CASES[name])) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# argv that fail while parsing or while running, between the reuse passes
+FAILING = [
+    ["hn"],
+    ["analyze", "--sig", REF, "--n", "0"],
+    ["no-such-command"],
+    ["hn", "--lattice", LATTICE, "--n", "1"],
+]
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The argparse tree is built once per process: running every case
+    forward, some failing argv, then every case in reverse gives the golden
+    stdout each time and exit 1 for each failing argv."""
+    names = sorted(CASES)
+    for order in (names, FAILING, names[::-1], FAILING):
+        for item in order:
+            argv = item if isinstance(item, list) else CASES[item]
+            code = run_command(list(argv))
+            out = capsys.readouterr().out
+            if isinstance(item, list):
+                assert (code, out) == (1, "")
+            else:
+                assert code == 0
+                assert out.encode("utf-8") == (GOLDEN / f"{item}.out").read_bytes()

@@ -171,14 +171,14 @@ class TestEnumeration:
         for sig in iter_signatures(2, 3, (5,)):
             for n in (1, 2):
                 G = mu_ordinary_product(sig, n)
-                got = {
-                    (d.o_height, d.deg)
-                    for d in enumerate_split_subgroups(G)
-                }
+                nodes = enumerate_split_subgroups(G)
+                got = {(d.o_height, d.deg) for d in nodes}
                 expected = oracles.split_subgroups_bruteforce(
                     sig.f, list(G.factors), n
                 )
                 assert got == expected
+                # no two torsion vectors share a (height, degrees) descriptor
+                assert len(got) == len(nodes)
 
     def test_sorted_output(self):
         for sig in iter_signatures(2, 3, (3,)):

@@ -189,6 +189,108 @@ class TestFromLattice:
         assert heights == sorted(heights)
 
 
+
+# Hand lattices whose partial degrees sit over 3, 4 and 6, so the engine's
+# common denominator is 12: (heights and degrees, containment pairs, the
+# outcome under each of _mixed_weightings).
+MIXED_LATTICES = {
+    # slope tie between a height-1 and a height-2 step: the taller one wins
+    "diamond": (
+        [(0, (0, 0)), (1, (F(1, 3), F(1, 4))), (1, (F(1, 6), F(1, 2))),
+         (2, (F(1, 2), F(3, 4))), (3, (F(5, 6), 1))],
+        [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)],
+        ["ok", "ok", "ok", "ok"],
+    ),
+    # two distinct height-1 nodes of classical slope 1/4: ambiguous
+    # classically, resolved by the tau weights
+    "tie": (
+        [(0, (0, 0, 0)), (1, (F(1, 3), 0, F(1, 6))), (1, (F(1, 4), F(1, 4), 0)),
+         (2, (F(1, 2), F(1, 4), F(1, 6)))],
+        [(0, 1), (0, 2), (1, 3), (2, 3)],
+        ["ambiguous", "ok", "ok", "ok"],
+    ),
+    # the top's first partial degree drops below node 1's: a walk through
+    # node 1 stops there, while the p=3 tau weights jump straight to the top
+    "drop": (
+        [(0, (0, 0)), (1, (F(2, 3), F(1, 6))), (2, (F(1, 3), F(5, 6)))],
+        [(0, 1), (1, 2)],
+        ["additivity", "ok", "additivity", "additivity"],
+    ),
+}
+
+
+def _mixed_weightings(f):
+    yield classical_weighting(7, f)
+    for p, t in ((3, 0), (5, f - 1), (7, 1 % f)):
+        yield tau_weighting(p, f, t)
+
+
+def _scaled_split_lattice(sig, n, scale):
+    """A split-product lattice with embedding t's degrees times scale[t]
+    (orders and additivity survive), as generic nodes with every
+    containment pair."""
+    split = enumerate_split_subgroups(mu_ordinary_product(sig, n))
+    nodes = [(d.o_height, tuple(x * c for x, c in zip(d.deg, scale))) for d in split]
+    pairs = [
+        (i, j)
+        for i, a in enumerate(split)
+        for j, b in enumerate(split)
+        if i != j and b.contains(a)
+    ]
+    return nodes, pairs
+
+
+def _assert_matches_reference(nodes, pairs, w) -> str:
+    """Run the engine and the Fraction reference on one lattice; returns
+    the shared outcome: "ok", "additivity" or "ambiguous"."""
+    descs = [desc(ht, deg) for ht, deg in nodes]
+    expected = oracles.hn_selection_reference(
+        nodes, pairs, w.weights, w.mode == "classical"
+    )
+    if expected == "additivity":
+        with pytest.raises(AdditivityViolation):
+            hn_from_lattice(descs, w, containment=pairs)
+        return expected
+    if expected == "ambiguous":
+        with pytest.raises(AmbiguousLattice):
+            hn_from_lattice(descs, w, containment=pairs)
+        return expected
+    chain, slopes, points = expected
+    result = hn_from_lattice(descs, w, containment=pairs)
+    assert result.filtration == tuple(descs[i] for i in chain)
+    assert result.slopes == tuple(slopes)
+    assert result.polygon.points == tuple(points)
+    return "ok"
+
+
+class TestMixedDenominators:
+    @pytest.mark.parametrize("name", sorted(MIXED_LATTICES))
+    def test_hand_lattice_matches_reference(self, name):
+        nodes, pairs, outcomes = MIXED_LATTICES[name]
+        got = [
+            _assert_matches_reference(nodes, pairs, w)
+            for w in _mixed_weightings(len(nodes[0][1]))
+        ]
+        assert got == outcomes
+
+    def test_diamond_values(self):
+        # classical: node 2 at slope 1/3, then the top at 7/24 (a tie with
+        # node 3 at height 1, won by the larger height)
+        nodes, pairs, _ = MIXED_LATTICES["diamond"]
+        result = hn_from_lattice(
+            [desc(ht, deg) for ht, deg in nodes], classical_weighting(7, 2),
+            containment=pairs,
+        )
+        assert result.slopes == (F(1, 3), F(7, 24))
+        assert result.polygon.points == ((0, 0), (1, F(1, 3)), (3, F(11, 12)))
+
+    @pytest.mark.parametrize("scale", [(F(1, 3), F(1, 4)), (F(5, 6), F(3, 4))])
+    def test_scaled_split_lattices_match_reference(self, scale):
+        for sig in iter_signatures(2, 3, (3,)):
+            nodes, pairs = _scaled_split_lattice(sig, 1, scale)
+            for w in _mixed_weightings(sig.f):
+                _assert_matches_reference(nodes, pairs, w)
+
 class TestBreakCertificate:
     def test_tau_mode_reference(self, ref_sig):
         # cran of tau2: height 1, partial degrees (1,1)

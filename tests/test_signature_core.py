@@ -1,6 +1,7 @@
 """Signature invariants: constants, thresholds, duality, decomposition."""
 
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,19 @@ class TestConstants:
     @given(sig_strategy)
     def test_dual_involution(self, sig):
         assert dual_signature(dual_signature(sig)) == sig
+
+    def test_computed_once_per_signature(self, ref_sig):
+        fresh = Signature(f=2, p=7, h=3, q=(1, 2))
+        c = constants(ref_sig)
+        assert constants(ref_sig) is c
+        assert constants(fresh) == c
+        # the memo is no field: a cached and an uncached instance still
+        # compare, hash and print alike
+        other = Signature(f=2, p=7, h=3, q=(1, 2))
+        assert ref_sig == fresh == other
+        assert hash(ref_sig) == hash(fresh) == hash(other)
+        assert repr(ref_sig) == repr(other)
+        assert [fld.name for fld in fields(ref_sig)] == ["f", "p", "h", "q"]
 
     def test_dual_swaps_p_and_q(self, ref_sig):
         d = dual_signature(ref_sig)
