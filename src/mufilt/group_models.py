@@ -56,16 +56,16 @@ class RaynaudDatum:
 
 @dataclass(frozen=True)
 class FiniteOModuleDesc:
-    """Descriptor (O-height, partial degrees, torsion level)."""
+    """Descriptor (O-height, partial degrees, torsion level).
+
+    Callers pass deg as a tuple of Fractions; it is stored as given.  The
+    literal readers in serialize are the only coercion of outside input."""
 
     o_height: int
     deg: tuple[Fraction, ...]
     level: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "deg", tuple(Fraction(d) for d in self.deg)
-        )
         if self.o_height < 0:
             raise MufiltError(f"o_height must be >= 0, got {self.o_height!r}")
         if self.level < 0:

@@ -104,21 +104,35 @@ class HNResult:
     slopes: tuple[Fraction, ...]
 
 
-def _containment_from_pairs(n: int, pairs) -> list[list[bool]]:
-    leq = [[i == j for j in range(n)] for i in range(n)]
+def _containment_from_pairs(n: int, pairs) -> list[int]:
+    """Up-sets of the order generated by the (i, j) pairs, i below j: bit j
+    of the i-th mask is set when i <= j.  Self-pairs are dropped, and pairs
+    that close a cycle raise NotALattice."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indegree = [0] * n
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise MufiltError(f"containment pair ({i},{j}) out of range")
-        leq[i][j] = True
-    # Warshall: once k is done, row i holds everything reachable from i
-    # through intermediates 0..k, so one pass gives the transitive closure
-    for k in range(n):
-        above_k = [j for j, le in enumerate(leq[k]) if le]
-        for row in leq:
-            if row[k]:
-                for j in above_k:
-                    row[j] = True
-    return leq
+        if i != j:
+            succ[i].append(j)
+            indegree[j] += 1
+    # Kahn: a node enters the order once every pair below it is consumed
+    order = [i for i in range(n) if indegree[i] == 0]
+    for i in order:
+        for j in succ[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                order.append(j)
+    if len(order) < n:
+        raise NotALattice("containment pairs form a cycle")
+    # successors come later in the order, so their up-sets are complete
+    up = [0] * n
+    for i in reversed(order):
+        mask = 1 << i
+        for j in succ[i]:
+            mask |= up[j]
+        up[i] = mask
+    return up
 
 
 def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
@@ -128,7 +142,10 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
     taken from explicit (i, j) index pairs when given, from per-factor
     torsion keys when every node carries one, and from componentwise
     (height, degrees) comparison otherwise; the last fallback is only
-    sound for chains and is meant for hand-written inputs.
+    sound for chains and is meant for hand-written inputs.  Explicit pairs
+    are closed by one pass over a topological order, which keeps an up-set
+    bitmask per node; pairs that form a cycle raise NotALattice, and
+    self-pairs (i, i) are accepted and ignored.
 
     Selection: starting from the zero object, repeatedly pick the node
     above the current one whose quotient maximizes the slope, breaking
@@ -146,10 +163,10 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
             )
     n = len(nodes)
     if containment is not None:
-        leq_matrix = _containment_from_pairs(n, containment)
+        up = _containment_from_pairs(n, containment)
 
-        def leq(i: int, j: int) -> bool:
-            return leq_matrix[i][j]
+        def leq(i: int, j: int) -> int:
+            return up[i] >> j & 1
 
     elif all(isinstance(d, SplitSubgroupDesc) for d in nodes):
         def leq(i: int, j: int) -> bool:

@@ -2,8 +2,8 @@
 
 Machine output renders every rational as an exact [numerator, denominator]
 pair; human mode appends a decimal approximation string prefixed with "~".
-Input literals may use bare keys and a/b fractions; they are quoted into
-strict JSON before parsing.
+Input literals may be strict JSON, which is read as it stands, or use bare
+keys and a/b fractions, which are quoted into strict JSON before parsing.
 """
 
 from __future__ import annotations
@@ -109,10 +109,15 @@ def _unique_keys(pairs) -> dict:
 def relaxed_literal(text: str):
     """Parse a compact literal like {f:2,p:7,h:3,q:[1,2]} into JSON data.
 
-    Bare keys are quoted, and a/b fraction tokens become "a/b" strings so
-    they survive json parsing.  A key repeated within one object is
-    rejected, where json.loads alone would keep the last value.
+    Strict JSON is read as it stands.  Any other text has its bare keys
+    quoted and its a/b fraction tokens turned into "a/b" strings before
+    json parsing.  A key repeated within one object is rejected on either
+    path, where json.loads alone would keep the last value.
     """
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError:
+        pass
     quoted = _BARE_KEY.sub(r'\1"\2":', text.strip())
     quoted = _BARE_FRAC.sub(r'"\1/\2"', quoted)
     try:

@@ -224,6 +224,28 @@ def split_subgroups_bruteforce(f, factors, n):
 
 
 
+def containment_closure_reference(n, pairs):
+    """Reflexive-transitive closure of the (i, j) pairs over n nodes, by a
+    breadth-first search from each node; returns one set of reachable
+    indices per node (each node reaches itself)."""
+    from collections import deque
+
+    adjacent = [set() for _ in range(n)]
+    for i, j in pairs:
+        adjacent[i].add(j)
+    reach = []
+    for start in range(n):
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            for j in adjacent[queue.popleft()]:
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        reach.append(seen)
+    return reach
+
+
 def hn_selection_reference(nodes, pairs, weights, classical):
     """Greedy HN selection in Fractions, one candidate list per step.
 
@@ -234,16 +256,7 @@ def hn_selection_reference(nodes, pairs, weights, classical):
     """
     n = len(nodes)
     f = len(weights)
-    up = {i: {j for a, j in pairs if a == i} for i in range(n)}
-    above = []
-    for i in range(n):
-        seen, stack = {i}, [i]
-        while stack:
-            for j in up[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        above.append(seen)
+    above = containment_closure_reference(n, pairs)
     bottom = next(i for i, (h, deg) in enumerate(nodes) if h == 0 and not any(deg))
     top = next(j for j in range(n) if all(j in above[i] for i in range(n)))
 

@@ -11,6 +11,8 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 import oracles
 from conftest import iter_signatures
 from mufilt import (
@@ -118,6 +120,7 @@ def test_cyclotomic_period_grid():
             assert val == F(1, p - 1)
 
 
+@pytest.mark.slow
 def test_multiplication_K_sweep():
     # neither the K constant nor the multiplication map reads the height
     # beyond the q range, and a slot nondegenerate at any h <= 6 is still

@@ -19,6 +19,7 @@ from mufilt import (
 from mufilt.cli_reports import build_report_bundle, run_command
 from mufilt.serialize import (
     approx_str,
+    parse_desc,
     parse_frac,
     parse_lattice,
     parse_polygon,
@@ -203,6 +204,23 @@ class TestInputErrors:
         code, out, err = run(capsys, "hn", "--lattice", str(path))
         assert code == 1 and out == ""
         assert "repeats keys ['level']" in err
+
+    @pytest.mark.parametrize(
+        "extra", [[[3, 0]], [[1, 2], [2, 1]]], ids=["top-below-bottom", "middle-two-cycle"]
+    )
+    def test_cyclic_lattice_rejected(self, capsys, tmp_path, extra):
+        degs = [[0, 0], [1, 0], [0, 1], [1, 1]]
+        lattice = {
+            "nodes": [
+                {"o_height": sum(deg), "deg": deg, "level": 1} for deg in degs
+            ],
+            "containment": [[0, 1], [0, 2], [1, 3], [2, 3]] + extra,
+        }
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(lattice), encoding="utf-8")
+        code, out, err = run(capsys, "hn", "--lattice", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: containment pairs form a cycle\n"
 
     def test_level_rejected_on_lattice_input(self, capsys):
         for n in ("0", "1", "2"):
@@ -516,8 +534,33 @@ class TestSerializeHelpers:
 
     def test_relaxed_literal(self):
         data = relaxed_literal("{f:2,p:7,h:3,q:[1,2],ha:1/100}")
-        assert data["f"] == 2
-        assert data["ha"] == "1/100"
+        assert data == {"f": 2, "p": 7, "h": 3, "q": [1, 2], "ha": "1/100"}
+
+    def test_strict_json_read_verbatim(self):
+        # the bare-key and a/b rewrites must not reach inside JSON strings
+        assert relaxed_literal('{"a": "x, y: 1/2"}') == {"a": "x, y: 1/2"}
+        assert relaxed_literal(' [1, "2/3", {"b": null}] ') == [1, "2/3", {"b": None}]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"nodes": [{"o_height": 0, "deg": [0], "level": 1, "level": 1}]}',
+            "{f:2,p:7,h:3,q:[1,2],q:[0,0]}",
+        ],
+        ids=["strict", "relaxed"],
+    )
+    def test_repeated_keys_rejected_on_both_paths(self, text):
+        with pytest.raises(MufiltError, match=r"repeats keys \['(level|q)'\]"):
+            relaxed_literal(text)
+
+    def test_relaxed_literal_unparseable(self):
+        with pytest.raises(MufiltError, match="cannot parse literal"):
+            relaxed_literal("{f:2,p:")
+
+    def test_parse_desc_degrees_are_fractions(self):
+        desc = parse_desc({"o_height": 3, "deg": [2, "1/2", [3, 4]], "level": 1})
+        assert desc.deg == (F(2), F(1, 2), F(3, 4))
+        assert all(type(d) is Fraction for d in desc.deg)
 
     def test_parse_signature_round_trip(self, ref_sig):
         assert parse_signature(SIG) == ref_sig

@@ -1,5 +1,6 @@
 """HN filtration engine: weightings, greedy selection, certificates."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,7 @@ from mufilt import (
     DimensionMismatch,
     FiniteOModuleDesc,
     HeightMismatch,
+    LTProductGroup,
     MufiltError,
     NegativeValuation,
     NotALattice,
@@ -37,6 +39,7 @@ from mufilt import (
     slope_mu,
     tau_weighting,
 )
+from mufilt.hn_engine import _containment_from_pairs
 
 F = Fraction
 
@@ -188,6 +191,128 @@ class TestFromLattice:
         heights = [d.o_height for d in result.filtration]
         assert heights == sorted(heights)
 
+
+    def test_self_pairs_accepted(self):
+        nodes = [desc(0, (0, 0)), desc(1, (1, 0)), desc(1, (0, 1)), desc(2, (1, 1))]
+        pairs = [(0, 1), (0, 2), (1, 3), (2, 3)]
+        w = classical_weighting(7, 2)
+        plain = hn_from_lattice(nodes, w, containment=pairs)
+        looped = hn_from_lattice(
+            nodes, w, containment=pairs + [(i, i) for i in range(4)]
+        )
+        assert looped == plain
+        assert [d.o_height for d in plain.filtration] == [0, 2]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[(3, 0)], [(1, 2), (2, 1)]],
+        ids=["top-below-bottom", "middle-two-cycle"],
+    )
+    def test_cyclic_containment_rejected(self, extra):
+        # a diamond whose pairs also close a cycle: the closure would make
+        # the cycle's nodes equal, so no order is left to run HN over
+        nodes = [desc(0, (0, 0)), desc(1, (1, 0)), desc(1, (0, 1)), desc(2, (1, 1))]
+        pairs = [(0, 1), (0, 2), (1, 3), (2, 3)] + extra
+        with pytest.raises(NotALattice, match="cycle"):
+            hn_from_lattice(nodes, classical_weighting(7, 2), containment=pairs)
+
+    def test_out_of_range_pair_rejected(self):
+        nodes = [desc(0, (0, 0)), desc(1, (1, 0))]
+        with pytest.raises(MufiltError, match="out of range"):
+            hn_from_lattice(
+                nodes, classical_weighting(7, 2), containment=[(0, 1), (1, 2)]
+            )
+
+
+def _masks(reach):
+    return [sum(1 << j for j in above) for above in reach]
+
+
+def _random_dag(rng):
+    """A random pair set over shuffled node indices: edges only go up a
+    hidden rank order, so the index order is not a topological order; some
+    pairs are repeated and some nodes carry a self-pair."""
+    n = rng.randint(1, 40)
+    rank = list(range(n))
+    rng.shuffle(rank)
+    density = rng.choice((0.05, 0.15, 0.4))
+    pairs = [
+        (rank[a], rank[b])
+        for a in range(n)
+        for b in range(a + 1, n)
+        if rng.random() < density
+    ]
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    pairs += [(i, i) for i in range(n) if rng.random() < 0.2]
+    rng.shuffle(pairs)
+    return n, pairs
+
+
+def _bench_shaped_split_lattice(f, mults, n, seed):
+    """A split product (factor sets {0}, {0,1}, ...) as generic nodes in a
+    shuffled order, with the covering pairs: j adds one unit of torsion to
+    i in one factor."""
+    factors = tuple((frozenset(range(l + 1)), m) for l, m in enumerate(mults))
+    split = enumerate_split_subgroups(LTProductGroup(f, factors, n))
+    random.Random(seed).shuffle(split)
+    index = {d.torsion: i for i, d in enumerate(split)}
+    pairs = []
+    for i, d in enumerate(split):
+        for l in range(len(mults)):
+            up = d.torsion[:l] + (d.torsion[l] + 1,) + d.torsion[l + 1:]
+            if up in index:
+                pairs.append((i, index[up]))
+    return split, pairs
+
+
+class TestContainmentClosure:
+    def test_random_dags_match_reference(self):
+        rng = random.Random(20161)
+        unsorted = 0
+        for _ in range(300):
+            n, pairs = _random_dag(rng)
+            unsorted += any(i > j for i, j in pairs)
+            expected = _masks(oracles.containment_closure_reference(n, pairs))
+            assert _containment_from_pairs(n, pairs) == expected
+        assert unsorted > 250
+
+    def test_random_back_edges_are_cycles(self):
+        rng = random.Random(20162)
+        for _ in range(100):
+            n, pairs = _random_dag(rng)
+            reach = oracles.containment_closure_reference(n, pairs)
+            below = [(i, j) for i in range(n) for j in reach[i] if j != i]
+            if not below:
+                continue
+            i, j = rng.choice(below)
+            with pytest.raises(NotALattice, match="cycle"):
+                _containment_from_pairs(n, pairs + [(j, i)])
+
+    @pytest.mark.parametrize(
+        "f, mults, n, size",
+        [
+            (3, (4, 4, 4), 1, 125),
+            (3, (1, 1, 1), 4, 125),
+            (4, (2, 2, 4, 4), 1, 225),
+            (4, (1, 1, 2, 2), 2, 225),
+        ],
+    )
+    def test_split_lattices_match_reference(self, f, mults, n, size):
+        split, pairs = _bench_shaped_split_lattice(f, mults, n, seed=size + n)
+        assert len(split) == size
+        up = _containment_from_pairs(size, pairs)
+        reach = oracles.containment_closure_reference(size, pairs)
+        assert up == _masks(reach)
+        # the covering pairs generate exactly the torsion order
+        assert all(
+            (up[i] >> j & 1) == b.contains(a)
+            for i, a in enumerate(split)
+            for j, b in enumerate(split)
+        )
+        for w in (classical_weighting(7, f), tau_weighting(5, f, f - 1)):
+            assert hn_from_lattice(split, w, containment=pairs) == hn_from_lattice(
+                split, w
+            )
 
 
 # Hand lattices whose partial degrees sit over 3, 4 and 6, so the engine's
