@@ -584,6 +584,13 @@ def _cmd_polygons(args) -> int:
 def _cmd_hn(args) -> int:
     if args.mode == "tau" and args.tau is None:
         raise MufiltError("--mode tau needs --tau")
+    if args.mode == "classical" and args.tau is not None:
+        raise MufiltError("--tau applies to --mode tau only")
+    if args.p is not None and (args.sig is not None or args.mode == "classical"):
+        raise MufiltError(
+            "--p applies to --lattice with --mode tau only:"
+            " a signature carries its own p, and classical weights read none"
+        )
     if args.sig is not None:
         sig = parse_signature(args.sig)
         nodes = gm.enumerate_split_subgroups(
@@ -605,9 +612,10 @@ def _cmd_hn(args) -> int:
         if not nodes:
             raise MufiltError("lattice file holds no nodes")
         f = nodes[0].f
-        p = args.p if args.p else 2
-        if args.mode == "tau" and not args.p:
+        if args.mode == "tau" and args.p is None:
             raise MufiltError("--mode tau on a lattice file needs --p")
+        # classical weights are all 1; any prime passes the weighting's check
+        p = 2 if args.p is None else args.p
     if args.mode == "classical":
         w = hn.classical_weighting(p, f)
     else:

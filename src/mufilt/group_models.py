@@ -71,7 +71,8 @@ class FiniteOModuleDesc:
         if self.level < 0:
             raise MufiltError(f"level must be >= 0, got {self.level!r}")
         for t, d in enumerate(self.deg):
-            if d < 0:
+            # Fractions keep a positive denominator
+            if d.numerator < 0:
                 raise MufiltError(f"deg[{t}]={d} must be >= 0")
 
     @property

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from operator import mul
+from operator import and_, lt, mul
 
 from .errors import (
     AdditivityViolation,
@@ -145,7 +146,10 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
     sound for chains and is meant for hand-written inputs.  Explicit pairs
     are closed by one pass over a topological order, which keeps an up-set
     bitmask per node; pairs that form a cycle raise NotALattice, and
-    self-pairs (i, i) are accepted and ignored.
+    self-pairs (i, i) are accepted and ignored.  With pairs, each step's
+    candidates are the set bits of the current node's up-set; the other
+    two orders test every node.  Either way candidates come in ascending
+    index order.
 
     Selection: starting from the zero object, repeatedly pick the node
     above the current one whose quotient maximizes the slope, breaking
@@ -162,46 +166,56 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
                 f"descriptor has {d.f} partial degrees, weighting expects {w.f}"
             )
     n = len(nodes)
-    if containment is not None:
-        up = _containment_from_pairs(n, containment)
-
-        def leq(i: int, j: int) -> int:
-            return up[i] >> j & 1
-
-    elif all(isinstance(d, SplitSubgroupDesc) for d in nodes):
-        def leq(i: int, j: int) -> bool:
-            return nodes[j].contains(nodes[i])
-
-    else:
-        def leq(i: int, j: int) -> bool:
-            a, b = nodes[i], nodes[j]
-            return a.o_height <= b.o_height and all(
-                x <= y for x, y in zip(a.deg, b.deg)
-            )
-
-    bottoms = [
-        i
-        for i in range(n)
-        if nodes[i].o_height == 0 and all(d == 0 for d in nodes[i].deg)
-    ]
-    if not bottoms:
-        raise NotALattice("no zero object among the nodes")
-    bottom = bottoms[0]
-    tops = [j for j in range(n) if all(leq(i, j) for i in range(n))]
-    if not tops:
-        raise NotALattice("no top object among the nodes")
-    top = tops[0]
     # Integer selection: every partial degree is held over one common
     # denominator L, and Deg is linear, so a quotient's weighted degree is
     # the difference of two node totals.  A slope is that difference over
     # L * f * (height difference); slopes are compared by cross-multiplying
     # with the positive height differences, and Fractions are built only
     # for the node each step picks.
-    L = lcm(*(d.denominator for node in nodes for d in node.deg))
+    L = lcm(*{d.denominator for node in nodes for d in node.deg})
     ideg = [
-        tuple(d.numerator * (L // d.denominator) for d in node.deg) for node in nodes
+        tuple([d.numerator * (L // d.denominator) for d in node.deg])
+        for node in nodes
     ]
     ht = [node.o_height for node in nodes]
+    # a bad pair (out of range, cycle) is reported before a missing zero object
+    if containment is not None:
+        up = _containment_from_pairs(n, containment)
+    bottom = next((i for i in range(n) if ht[i] == 0 and not any(ideg[i])), -1)
+    if bottom < 0:
+        raise NotALattice("no zero object among the nodes")
+    if containment is not None:
+        # the tops are the common bits of all up-sets; -1 when there are none
+        tops = reduce(and_, up)
+        top = (tops & -tops).bit_length() - 1
+
+        def above(i: int):
+            # the set bits of i's up-set other than i, lowest first
+            mask = up[i] ^ (1 << i)
+            while mask:
+                low = mask & -mask
+                yield low.bit_length() - 1
+                mask ^= low
+
+    else:
+        if all(isinstance(d, SplitSubgroupDesc) for d in nodes):
+            def leq(i: int, j: int) -> bool:
+                return nodes[j].contains(nodes[i])
+
+        else:
+            def leq(i: int, j: int) -> bool:
+                a, b = nodes[i], nodes[j]
+                return a.o_height <= b.o_height and all(
+                    x <= y for x, y in zip(a.deg, b.deg)
+                )
+
+        top = next((j for j in range(n) if all(leq(i, j) for i in range(n))), -1)
+
+        def above(i: int):
+            return (j for j in range(n) if j != i and leq(i, j))
+
+    if top < 0:
+        raise NotALattice("no top object among the nodes")
     tot = [sum(map(mul, row, w.weights)) for row in ideg]
 
     current = bottom
@@ -214,11 +228,9 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
         best = None
         tie = False
         cur_ht, cur_deg, cur_tot = ht[current], ideg[current], tot[current]
-        for j in range(n):
-            if j == current or not leq(current, j):
-                continue
+        for j in above(current):
             dht = ht[j] - cur_ht
-            if dht < 0 or any(a < b for a, b in zip(ideg[j], cur_deg)):
+            if dht < 0 or any(map(lt, ideg[j], cur_deg)):
                 raise AdditivityViolation(
                     f"quotient of node {j} by node {current} has a negative component"
                 )

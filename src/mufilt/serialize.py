@@ -44,9 +44,16 @@ def frac_json(x, human: bool = False):
     return [x.numerator, x.denominator]
 
 
+# Lattice degrees are mostly small integers.  A Fraction is immutable, so
+# one instance per such integer, built at import, serves every node.
+_SMALL_FRACTIONS = tuple(Fraction(i) for i in range(256))
+
+
 def parse_frac(obj) -> Fraction:
     """Accept [num, den] pairs (extra entries ignored), a/b strings,
     decimal strings, and plain integers."""
+    if type(obj) is int:
+        return _SMALL_FRACTIONS[obj] if 0 <= obj < 256 else Fraction(obj)
     if isinstance(obj, bool):
         raise MufiltError(f"cannot read {obj!r} as a rational")
     if isinstance(obj, int):
@@ -67,6 +74,8 @@ def parse_int(obj, what: str) -> int:
     """Read an integer field of literal input: an int or an integer string
     such as a map key.  Rejects bool and floats, which int() would accept
     as 1 or truncate (1.9 -> 1)."""
+    if type(obj) is int:
+        return obj
     if isinstance(obj, str):
         try:
             obj = int(obj)
@@ -126,6 +135,19 @@ def relaxed_literal(text: str):
         raise MufiltError(f"cannot parse literal {text!r}: {exc}")
 
 
+def _check_keys(obj: dict, what: str, fields, optional) -> None:
+    """Raise naming the unknown and missing keys unless the keys of obj are
+    all of `fields` plus any of `optional`."""
+    keys = obj.keys()
+    unknown = keys - fields - optional
+    missing = fields - keys
+    if unknown or missing:
+        raise MufiltError(
+            f"{what} has unknown keys {sorted(unknown)}"
+            f" and missing keys {sorted(missing)}"
+        )
+
+
 def _read_object(obj, what: str, fields: dict, optional: dict = {}) -> dict:
     """Read a literal object (a dict, or text for relaxed_literal) whose keys
     are exactly `fields` plus any of `optional`.  Each value is read by its
@@ -134,15 +156,8 @@ def _read_object(obj, what: str, fields: dict, optional: dict = {}) -> dict:
         obj = relaxed_literal(obj)
     if not isinstance(obj, dict):
         raise MufiltError(f"{what} must be an object, got {obj!r}")
-    keys = obj.keys()
-    if keys != fields.keys():
-        unknown = keys - fields.keys() - optional.keys()
-        missing = fields.keys() - keys
-        if unknown or missing:
-            raise MufiltError(
-                f"{what} has unknown keys {sorted(unknown)}"
-                f" and missing keys {sorted(missing)}"
-            )
+    if obj.keys() != fields.keys():
+        _check_keys(obj, what, fields.keys(), optional.keys())
     out = {key: read(obj[key], key) for key, read in fields.items()}
     for key, read in optional.items():
         if key in obj:
@@ -200,12 +215,29 @@ def desc_json(desc: FiniteOModuleDesc, human: bool = False) -> dict:
     return out
 
 
+_DESC_KEYS = frozenset(("o_height", "deg", "level"))
+_SPLIT_KEYS = _DESC_KEYS | {"torsion"}
+
+
 def parse_desc(obj) -> FiniteOModuleDesc:
-    fields = {"o_height": parse_int, "deg": _fracs, "level": parse_int}
-    data = _read_object(obj, "descriptor", fields, {"torsion": _ints})
-    if "torsion" in data:
-        return SplitSubgroupDesc(**data)
-    return FiniteOModuleDesc(**data)
+    """Read a descriptor {o_height, deg, level, torsion?} in one pass: its
+    keys are compared once with the two allowed sets, then each field is
+    read in place, in that order, so the first bad field is the one named."""
+    if isinstance(obj, str):
+        obj = relaxed_literal(obj)
+    if not isinstance(obj, dict):
+        raise MufiltError(f"descriptor must be an object, got {obj!r}")
+    keys = obj.keys()
+    split = keys == _SPLIT_KEYS
+    if not split and keys != _DESC_KEYS:
+        _check_keys(obj, "descriptor", _DESC_KEYS, {"torsion"})
+    o_height = parse_int(obj["o_height"], "o_height")
+    deg = tuple([parse_frac(x) for x in _parse_list(obj["deg"], "deg")])
+    level = parse_int(obj["level"], "level")
+    if split:
+        torsion = _ints(obj["torsion"], "torsion")
+        return SplitSubgroupDesc(o_height, deg, level, torsion)
+    return FiniteOModuleDesc(o_height, deg, level)
 
 
 def _nodes(obj, what: str) -> list[FiniteOModuleDesc]:
@@ -220,7 +252,12 @@ def _pairs(obj, what: str) -> list[tuple[int, int]] | None:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise MufiltError(f"containment pair {pair!r} must be [i, j]")
         i, j = pair
-        pairs.append((parse_int(i, "node index"), parse_int(j, "node index")))
+        # most indices are ints: skip the call for them
+        if type(i) is not int:
+            i = parse_int(i, "node index")
+        if type(j) is not int:
+            j = parse_int(j, "node index")
+        pairs.append((i, j))
     return pairs
 
 

@@ -17,10 +17,15 @@ from mufilt import (
     raynaud_hodge_tate_coker_degree,
 )
 from mufilt.cli_reports import build_report_bundle, run_command
+from mufilt.group_models import FiniteOModuleDesc, SplitSubgroupDesc
 from mufilt.serialize import (
+    _fracs,
+    _ints,
+    _read_object,
     approx_str,
     parse_desc,
     parse_frac,
+    parse_int,
     parse_lattice,
     parse_polygon,
     parse_signature,
@@ -421,6 +426,39 @@ class TestHNCommand:
         assert code == 1 and "--p" in err
 
 
+    @pytest.mark.parametrize(
+        "source", [["--sig", SIG], ["--lattice", LATTICE]], ids=["sig", "lattice"]
+    )
+    def test_tau_needs_tau_mode(self, capsys, source):
+        code, out, err = run(capsys, "hn", *source, "--tau", "1")
+        assert code == 1 and out == ""
+        assert err == "error: --tau applies to --mode tau only\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sig", SIG, "--p", "4"],
+            ["--sig", SIG, "--mode", "tau", "--tau", "1", "--p", "7"],
+            ["--lattice", LATTICE, "--p", "0"],
+            ["--lattice", LATTICE, "--p", "3"],
+        ],
+        ids=["sig", "sig-tau", "lattice-p0", "lattice-classical"],
+    )
+    def test_p_needs_lattice_tau_mode(self, capsys, argv):
+        code, out, err = run(capsys, "hn", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --p applies to --lattice with --mode tau only")
+
+    def test_tau_mode_lattice_p_zero_is_not_prime(self, capsys):
+        # --p 0 is a value to check, not an absent flag to default
+        code, out, err = run(
+            capsys, "hn", "--lattice", LATTICE, "--mode", "tau", "--tau", "1",
+            "--p", "0",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: p must be prime, got 0\n"
+
+
 class TestRaynaudCommand:
     def test_report_matches_library(self, capsys):
         code, out, _ = run(
@@ -513,6 +551,56 @@ class TestVerifyCommand:
         assert data["false_positives"] == []
 
 
+def _parse_desc_per_field(obj):
+    """A descriptor read field by field through _read_object, one reader
+    per key: the reference for parse_desc's one-pass reader."""
+    fields = {"o_height": parse_int, "deg": _fracs, "level": parse_int}
+    data = _read_object(obj, "descriptor", fields, {"torsion": _ints})
+    if "torsion" in data:
+        return SplitSubgroupDesc(**data)
+    return FiniteOModuleDesc(**data)
+
+
+def _node(**changes):
+    node = {"o_height": 2, "deg": [1, "1/2"], "level": 1}
+    node.update(changes)
+    return {key: value for key, value in node.items() if value is not ...}
+
+
+# Descriptor inputs, accepted and rejected, on which parse_desc must agree
+# with _parse_desc_per_field (value or message).
+DESC_CASES = {
+    "deg-forms": _node(o_height=4, deg=[2, "1/2", [3, 4], "0.25"]),
+    "int-strings": _node(o_height="3", level="2"),
+    "bool-height": _node(o_height=True),
+    "float-height": _node(o_height=2.0),
+    "float-level": _node(level=1.9),
+    "bool-level": _node(level=False),
+    "bool-deg-entry": _node(deg=[True, 0]),
+    "float-deg-entry": _node(deg=[1.5, 0]),
+    "junk-deg-entry": _node(deg=["x/y", 0]),
+    "zero-den-entry": _node(deg=[[1, 0], 0]),
+    "deg-string": _node(deg="12"),
+    "deg-object": _node(deg={"0": 1}),
+    "deg-null": _node(deg=None),
+    "unknown-key": _node(tau=0),
+    "missing-key": _node(level=...),
+    "unknown-and-missing": _node(deg=..., degs=[1]),
+    "relaxed-string": "{o_height:1,deg:[1/2,0],level:1}",
+    "relaxed-string-bad-key": "{o_height:1,deg:[1/2,0],lvl:1}",
+    "string-not-object": "[1, 2]",
+    "not-object": 5,
+    "torsion": _node(torsion=[1, 0]),
+    "torsion-strings": _node(torsion=["1", "0"]),
+    "torsion-bool": _node(torsion=[True]),
+    "torsion-string": _node(torsion="10"),
+    "negative-deg": _node(deg=[1, "-1/2"]),
+    "negative-height": _node(o_height=-1),
+    "negative-level-string": _node(level="-1"),
+    "bad-height-and-deg": _node(o_height="x", deg="12"),
+}
+
+
 class TestSerializeHelpers:
     def test_approx_str(self):
         assert approx_str(F(7, 48)) == "~0.145833"
@@ -526,6 +614,12 @@ class TestSerializeHelpers:
         assert parse_frac(5) == F(5)
         assert parse_frac([7, 48]) == F(7, 48)
         assert parse_frac([7, 48, "~0.145833"]) == F(7, 48)
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 10**30, -1, -256])
+    def test_parse_frac_integers(self, n):
+        # inside and outside the range of shared small-integer Fractions
+        got = parse_frac(n)
+        assert type(got) is Fraction and got == n
 
     def test_parse_frac_rejects_junk(self):
         for bad in (True, "x/y", [1, 0], {}):
@@ -561,6 +655,66 @@ class TestSerializeHelpers:
         desc = parse_desc({"o_height": 3, "deg": [2, "1/2", [3, 4]], "level": 1})
         assert desc.deg == (F(2), F(1, 2), F(3, 4))
         assert all(type(d) is Fraction for d in desc.deg)
+
+    @pytest.mark.parametrize("name", sorted(DESC_CASES))
+    def test_parse_desc_matches_per_field_reader(self, name):
+        obj = DESC_CASES[name]
+        try:
+            expected = _parse_desc_per_field(obj)
+        except MufiltError as exc:
+            with pytest.raises(MufiltError) as got:
+                parse_desc(obj)
+            assert str(got.value) == str(exc)
+            return
+        got = parse_desc(obj)
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("deg-forms", None),
+            ("int-strings", None),
+            ("relaxed-string", None),
+            ("bool-height", "o_height must be an integer, got True"),
+            ("float-level", "level must be an integer, got 1.9"),
+            ("deg-string", "deg must be a list, got '12'"),
+            ("unknown-key", "descriptor has unknown keys ['tau'] and missing keys []"),
+            ("missing-key", "descriptor has unknown keys [] and missing keys ['level']"),
+            ("negative-deg", "deg[1]=-1/2 must be >= 0"),
+        ],
+    )
+    def test_parse_desc_outcomes(self, name, message):
+        # the per-field comparison above is relative; these pin the outcomes
+        if message is None:
+            parse_desc(DESC_CASES[name])
+        else:
+            with pytest.raises(MufiltError) as got:
+                parse_desc(DESC_CASES[name])
+            assert str(got.value) == message
+
+    def test_parse_desc_torsion_gives_split_descriptor(self):
+        desc = parse_desc(DESC_CASES["torsion"])
+        assert type(desc) is SplitSubgroupDesc and desc.torsion == (1, 0)
+        assert type(parse_desc(DESC_CASES["deg-forms"])) is FiniteOModuleDesc
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ([True, 1], "node index must be an integer, got True"),
+            ([0, "x"], "node index must be an integer, got 'x'"),
+            ([0, 1.0], "node index must be an integer, got 1.0"),
+            ([0, 1, 2], "containment pair [0, 1, 2] must be [i, j]"),
+        ],
+    )
+    def test_containment_index_rejected(self, pair, message):
+        with pytest.raises(MufiltError) as got:
+            parse_lattice({"nodes": [], "containment": [[0, 1], pair]})
+        assert str(got.value) == message
+
+    def test_containment_index_strings_read(self):
+        _, pairs = parse_lattice({"nodes": [], "containment": [["0", "1"], [1, "2"]]})
+        assert pairs == [(0, 1), (1, 2)]
+        assert all(type(i) is int for pair in pairs for i in pair)
 
     def test_parse_signature_round_trip(self, ref_sig):
         assert parse_signature(SIG) == ref_sig

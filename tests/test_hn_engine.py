@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import iter_signatures
@@ -155,7 +157,18 @@ class TestFromLattice:
         # two maximal incomparable nodes under explicit containment
         nodes = [desc(0, (0, 0)), desc(1, (1, 0)), desc(1, (0, 1))]
         pairs = [(0, 1), (0, 2)]
-        with pytest.raises(NotALattice):
+        with pytest.raises(NotALattice, match="^no top object among the nodes$"):
+            hn_from_lattice(
+                nodes, classical_weighting(7, 2), containment=pairs
+            )
+
+    def test_no_common_top_over_chains(self):
+        # connected pairs whose up-sets share no bit: two maximal nodes,
+        # each above a chain from the zero object
+        nodes = [desc(0, (0, 0)), desc(1, (1, 0)), desc(1, (0, 1)),
+                 desc(2, (1, 1)), desc(2, (2, 0))]
+        pairs = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3)]
+        with pytest.raises(NotALattice, match="^no top object among the nodes$"):
             hn_from_lattice(
                 nodes, classical_weighting(7, 2), containment=pairs
             )
@@ -215,6 +228,46 @@ class TestFromLattice:
         pairs = [(0, 1), (0, 2), (1, 3), (2, 3)] + extra
         with pytest.raises(NotALattice, match="cycle"):
             hn_from_lattice(nodes, classical_weighting(7, 2), containment=pairs)
+
+    def test_equal_descriptors_lowest_index_wins(self):
+        # nodes 1 and 2 are equal descriptors, so the step from the zero
+        # object keeps the first in ascending order; only node 1 has node 3
+        # above it, so the walk order shows in the chain
+        nodes = [(0, (0,)), (1, (2,)), (1, (2,)), (2, (3,)), (3, (3,))]
+        pairs = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)]
+        w = classical_weighting(7, 1)
+        assert _assert_matches_reference(nodes, pairs, w) == "ok"
+        result = hn_from_lattice([desc(*node) for node in nodes], w, containment=pairs)
+        assert [d.o_height for d in result.filtration] == [0, 1, 2, 3]
+
+    def test_first_additivity_violation_in_index_order(self):
+        # nodes 1 and 2 both drop a partial degree below node 3's
+        nodes = [desc(0, (0, 0)), desc(2, (0, 1)), desc(3, (1, 0)),
+                 desc(1, (1, 1)), desc(4, (2, 2))]
+        pairs = [(0, 3), (3, 1), (3, 2), (1, 4), (2, 4)]
+        with pytest.raises(AdditivityViolation, match="^quotient of node 1 by node 3 "):
+            hn_from_lattice(nodes, classical_weighting(7, 2), containment=pairs)
+
+    def test_pairs_never_read_torsion(self, ref_sig, monkeypatch):
+        # with explicit pairs the candidates come from the up-set bits, so
+        # a split lattice never reaches SplitSubgroupDesc.contains
+        split = enumerate_split_subgroups(mu_ordinary_product(ref_sig, 2))
+        pairs = [
+            (i, j)
+            for i, a in enumerate(split)
+            for j, b in enumerate(split)
+            if i != j and b.contains(a)
+        ]
+        w = tau_weighting(7, 2, 1)
+        expected = hn_from_lattice(split, w)
+
+        def refuse(self, other):
+            raise AssertionError("torsion containment read despite pairs")
+
+        monkeypatch.setattr(SplitSubgroupDesc, "contains", refuse)
+        assert hn_from_lattice(split, w, containment=pairs) == expected
+        with pytest.raises(AssertionError, match="torsion containment"):
+            hn_from_lattice(split, w)
 
     def test_out_of_range_pair_rejected(self):
         nodes = [desc(0, (0, 0)), desc(1, (1, 0))]
@@ -415,6 +468,69 @@ class TestMixedDenominators:
             nodes, pairs = _scaled_split_lattice(sig, 1, scale)
             for w in _mixed_weightings(sig.f):
                 _assert_matches_reference(nodes, pairs, w)
+
+_DENOMINATORS = (1, 2, 3, 4, 6)
+
+
+@st.composite
+def _small_lattices(draw):
+    """A lattice of at most 12 nodes over shuffled indices: a zero object,
+    a top above every node, and random pairs between the nodes in between,
+    all going up a hidden rank order.  Heights and degrees (over mixed
+    denominators) usually grow along the pairs; some lattices take
+    arbitrary values instead, which break additivity or repeat a height
+    along a pair."""
+    n = draw(st.integers(2, 12))
+    f = draw(st.integers(1, 3))
+    rank = draw(st.permutations(range(n)))
+    zero, top = rank[0], rank[-1]
+    middle = range(1, n - 1)
+    links = draw(st.lists(st.tuples(st.sampled_from(middle), st.sampled_from(middle)),
+                          max_size=2 * n)) if n > 2 else []
+    below = {k: {0} for k in range(1, n)}
+    below[n - 1] |= set(middle)
+    for a, b in links:
+        if a < b:
+            below[b].add(a)
+    # a twin has the height and the predecessors of an earlier node and its
+    # degrees reversed: the same classical slope from below, so ties
+    twins = {}
+    for k in range(2, n - 1):
+        if draw(st.integers(0, 3)) == 0:
+            twins[k] = draw(st.integers(1, k - 1))
+            below[k] = set(below[twins[k]])
+    pairs = [(rank[a], rank[b]) for b in range(1, n) for a in sorted(below[b])]
+    monotone = draw(st.integers(0, 3)) > 0
+    step = st.builds(Fraction, st.integers(0, 2), st.sampled_from(_DENOMINATORS))
+    values = {0: (0, (Fraction(0),) * f)}
+    for k in range(1, n):
+        if k in twins:
+            ht, deg = values[twins[k]]
+            values[k] = (ht, deg[::-1])
+            continue
+        ht = draw(st.integers(0, 2))
+        deg = tuple(draw(step) for _ in range(f))
+        if monotone:
+            for a in below[k]:
+                ht = max(ht, values[a][0] + draw(st.integers(1, 2)))
+                deg = tuple(max(x, y) for x, y in zip(deg, values[a][1]))
+        values[k] = (ht, deg)
+    nodes = [None] * n
+    for k, index in enumerate(rank):
+        nodes[index] = values[k]
+    return nodes, pairs
+
+
+class TestAgainstReference:
+    @settings(max_examples=250, deadline=1000)
+    @given(lattice=_small_lattices(), p=st.sampled_from((2, 3, 5)), data=st.data())
+    def test_random_small_lattices(self, lattice, p, data):
+        nodes, pairs = lattice
+        f = len(nodes[0][1])
+        tau = data.draw(st.integers(0, f - 1))
+        for w in (classical_weighting(p, f), tau_weighting(p, f, tau)):
+            _assert_matches_reference(nodes, pairs, w)
+
 
 class TestBreakCertificate:
     def test_tau_mode_reference(self, ref_sig):
