@@ -36,6 +36,7 @@ from .errors import (
     InternalInvariantBreach,
     InternalNonIntegral,
     InvalidMultiplicity,
+    LevelCapExceeded,
     MufiltError,
     NegativeExponent,
     NegativeValuation,

@@ -145,6 +145,7 @@ def build_report_bundle(
     human: bool = False,
 ) -> dict:
     sc._check_level(n)
+    sc._check_level_work(sig, n)
     consts = sc.constants(sig)
     ok, diags = sc.prime_admissible(sig)
     taus = list(range(sig.f)) if tau is None else [sig.check_embedding(tau)]

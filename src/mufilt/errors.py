@@ -69,6 +69,19 @@ class EnumerationCapExceeded(MufiltError):
         )
 
 
+class LevelCapExceeded(MufiltError):
+    """A report's level loop would exceed the configured cap on the bit
+    length of its largest level denominator p^{(n-1)f}."""
+
+    def __init__(self, cap: int, required: int):
+        self.cap = cap
+        self.required = required
+        super().__init__(
+            f"the level loop needs p^((n-1)f) of up to {required} bits,"
+            f" cap is {cap}"
+        )
+
+
 class WindowViolation(MufiltError):
     """Hasse recursion called outside its validity window.  Carries the
     unconditional fallback lower bound 1 - ha for the quotient invariant."""

@@ -172,11 +172,9 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
     # L * f * (height difference); slopes are compared by cross-multiplying
     # with the positive height differences, and Fractions are built only
     # for the node each step picks.
-    L = lcm(*{d.denominator for node in nodes for d in node.deg})
-    ideg = [
-        tuple([d.numerator * (L // d.denominator) for d in node.deg])
-        for node in nodes
-    ]
+    ratios = [[d.as_integer_ratio() for d in node.deg] for node in nodes]
+    L = lcm(*{den for row in ratios for _, den in row})
+    ideg = [tuple([num * (L // den) for num, den in row]) for row in ratios]
     ht = [node.o_height for node in nodes]
     # a bad pair (out of range, cycle) is reported before a missing zero object
     if containment is not None:

@@ -8,8 +8,9 @@ back into t_O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NegativeExponent
 from .signature_core import Signature, constants
@@ -87,40 +88,58 @@ class PeriodVector:
     entries: tuple[PeriodMonomial, ...]
 
 
-@dataclass(frozen=True)
-class MultiplicationMap:
-    coeffs: PeriodVector
-    K_value: Fraction
-    transport_ok: bool
-
-
 def multiplication_coeff(sig: Signature, tau: int, tau_prime: int) -> PeriodMonomial:
     """Coefficient of the period multiplication map at slot tau'."""
-    q, f = sig.q, sig.f
-    exps = [max(0, q[tau] - q[(tau_prime - j) % f]) for j in range(f)]
+    q = sig.q
+    qt = q[tau]
+    # the slots sigma^{-j} tau' for j = 0..f-1: tau', tau' - 1, ... mod f
+    exps = [qt - qu if qu < qt else 0 for qu in q[tau_prime::-1] + q[:tau_prime:-1]]
     return PeriodMonomial(exps[0], tuple(exps[1:]), 0)
 
 
-def multiplication_map(sig: Signature, tau: int) -> MultiplicationMap:
+@dataclass(frozen=True)
+class MultiplicationMap:
     """Period multiplication map at an embedding with q_tau outside {0, h}.
 
-    K_value is the graded valuation of the diagonal coefficient; transport
-    replays the equivariance identity
+    Built from (sig, tau).  K_value, the graded valuation of the diagonal
+    coefficient, is computed at construction; equality and hash are over
+    (sig, tau, K_value).  coeffs and transport_ok are computed on first read
+    and then kept: transport replays the equivariance identity
     phi(coeff(tau')) * p^{min(q_tau, q_{tau'})} = coeff(sigma tau') * p^{q_tau}
     on exponent tuples for every slot.
     """
-    sig.check_nondegenerate(tau)
-    q, f = sig.q, sig.f
-    coeffs = tuple(multiplication_coeff(sig, tau, u) for u in range(f))
-    _, K_value = graded_valuation(coeffs[tau], sig.p)
-    transport_ok = all(
-        monomial_frobenius(coeffs[u]).times_p(min(q[tau], q[u]))
-        == coeffs[(u + 1) % f].times_p(q[tau])
-        for u in range(f)
-    )
-    return MultiplicationMap(
-        coeffs=PeriodVector(coeffs), K_value=K_value, transport_ok=transport_ok
-    )
+
+    sig: Signature
+    tau: int
+    K_value: Fraction = field(init=False)
+
+    def __post_init__(self):
+        self.sig.check_nondegenerate(self.tau)
+        diagonal = multiplication_coeff(self.sig, self.tau, self.tau)
+        object.__setattr__(self, "K_value", graded_valuation(diagonal, self.sig.p)[1])
+
+    @cached_property
+    def coeffs(self) -> PeriodVector:
+        sig, tau = self.sig, self.tau
+        return PeriodVector(
+            tuple([multiplication_coeff(sig, tau, u) for u in range(sig.f)])
+        )
+
+    @cached_property
+    def transport_ok(self) -> bool:
+        q, f, tau = self.sig.q, self.sig.f, self.tau
+        coeffs = self.coeffs.entries
+        return all(
+            monomial_frobenius(coeffs[u]).times_p(min(q[tau], q[u]))
+            == coeffs[(u + 1) % f].times_p(q[tau])
+            for u in range(f)
+        )
+
+
+def multiplication_map(sig: Signature, tau: int) -> MultiplicationMap:
+    """The period multiplication map of sig at tau; DegenerateEmbedding when
+    q_tau is 0 or h."""
+    return MultiplicationMap(sig, tau)
 
 
 def d_matrix(sig: Signature, tau: int) -> tuple[int, ...]:

@@ -19,19 +19,13 @@ from .signature_core import Signature
 
 
 def approx_str(x: Fraction, places: int = 6) -> str:
-    """Decimal approximation by integer long division, marked with "~"."""
+    """Decimal approximation truncated to `places` digits, trailing zeros
+    dropped, marked with "~"."""
     x = Fraction(x)
     sign = "-" if x < 0 else ""
     n, d = abs(x.numerator), x.denominator
     whole, rem = divmod(n, d)
-    digits = []
-    for _ in range(places):
-        rem *= 10
-        dig, rem = divmod(rem, d)
-        digits.append(str(dig))
-        if rem == 0:
-            break
-    frac_part = "".join(digits).rstrip("0")
+    frac_part = f"{rem * 10**places // d:0{places}d}".rstrip("0")
     if not frac_part:
         return f"~{sign}{whole}"
     return f"~{sign}{whole}.{frac_part}"

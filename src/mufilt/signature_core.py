@@ -9,11 +9,12 @@ p_tau = h - q_tau.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import DegenerateEmbedding, MufiltError
+from .errors import DegenerateEmbedding, LevelCapExceeded, MufiltError
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -75,6 +76,23 @@ def _check_level(n: int) -> None:
         raise MufiltError(f"level n must be an integer >= 1, got {n!r}")
 
 
+LEVEL_CAP = 4096
+
+
+def _check_level_work(sig: Signature, n: int) -> None:
+    """The one guard on the cost of levels 1..n of a report.
+
+    Level m carries denominators p^{(m-1)f} (and p^{mf} - p^{(m-1)f}), so
+    the numbers, the time and the output all grow with the bit length of
+    p^{(n-1)f}.  That is bounded above by (n - 1) f bitlen(p), which must
+    not exceed LEVEL_CAP; otherwise LevelCapExceeded, before any
+    level is computed.
+    """
+    required = (n - 1) * sig.f * sig.p.bit_length()
+    if required > LEVEL_CAP:
+        raise LevelCapExceeded(LEVEL_CAP, required)
+
+
 def _frobenius_weights(p: int, f: int, tau: int) -> tuple[int, ...]:
     """Weight vector of Deg_tau(x) = sum over i = 1..f of p^{f-i} x_{sigma^i tau}.
 
@@ -82,10 +100,10 @@ def _frobenius_weights(p: int, f: int, tau: int) -> tuple[int, ...]:
     gets 1 and sigma^{-j} tau gets p^j.  Every Frobenius-weighted sum in
     the library is a dot product with this vector.
     """
-    w = [0] * f
-    for i in range(1, f + 1):
-        w[(tau + i) % f] = p ** (f - i)
-    return tuple(w)
+    powers = [p**j for j in range(f)]
+    # embedding u is sigma^{-j} tau for j = (tau - u) mod f: tau, ..., 1, 0,
+    # then f - 1, ..., tau + 1 as u runs over 0..f-1
+    return tuple(powers[tau::-1] + powers[:tau:-1])
 
 
 @dataclass(frozen=True)
@@ -164,7 +182,8 @@ def constants(sig: Signature) -> SignatureConstants:
 
     K_tau is the _frobenius_weights dot product with the defects
     max(0, q_tau - q_u), divided by p^f - 1: the weight of sigma^{-j} tau
-    is p^j, and tau's own defect is 0.
+    is p^j, and tau's own defect is 0.  r and n are read off the sorted
+    q-values, and k_dual off k.
 
     Computed once per Signature instance and kept on it as _constants,
     outside the dataclass fields, so equality, hash and repr ignore it.
@@ -173,21 +192,25 @@ def constants(sig: Signature) -> SignatureConstants:
     if cached is not None:
         return cached
     f, p, q = sig.f, sig.p, sig.q
-    pv = sig.p_values
     denom = p**f - 1
+    total = sum(q)
+    ordered = sorted(q)
     k = []
     K = []
     r = []
     n = []
     kd = []
-    for t in range(f):
-        defects = [max(0, q[t] - qu) for qu in q]
-        k.append(sum(defects))
+    for t, qt in enumerate(q):
+        defects = [qt - qu if qu < qt else 0 for qu in q]
+        kt = sum(defects)
+        k.append(kt)
         w = _frobenius_weights(p, f, t)
         K.append(Fraction(sum(map(mul, w, defects)), denom))
-        r.append(sum(1 for qu in q if qu <= q[t]))
-        n.append(sum(1 for qu in q if qu == q[t]))
-        kd.append(sum(max(0, pv[t] - pu) for pu in pv))
+        r.append(bisect_right(ordered, qt))
+        n.append(q.count(qt))
+        # p_tau - p_u = q_u - q_tau, and max(0, x) - max(0, -x) = x, so the
+        # dual defects sum to k_tau - sum_u (q_tau - q_u)
+        kd.append(kt - f * qt + total)
     consts = SignatureConstants(tuple(k), tuple(K), tuple(r), tuple(n), tuple(kd))
     object.__setattr__(sig, "_constants", consts)
     return consts

@@ -315,6 +315,43 @@ def multiplication_coeff_bruteforce(f, q, t, u):
     return a, b, 0
 
 
+def multiplication_map_eager(f, p, q, t):
+    """The multiplication map at t as it was first computed, all at once:
+    (coefficient exponents per slot, K from the diagonal coefficient, the
+    transport identity replayed at every slot)."""
+    coeffs = [multiplication_coeff_bruteforce(f, q, t, u) for u in range(f)]
+    K = graded_valuation_bruteforce(*coeffs[t], p)
+    transport = True
+    for u in range(f):
+        a, b, c = frobenius_replay(*coeffs[u])
+        a1, b1, c1 = coeffs[(u + 1) % f]
+        if (a, b, c + min(q[t], q[u])) != (a1, b1, c1 + q[t]):
+            transport = False
+    return coeffs, K, transport
+
+
+# === decimal approximation ==================================================
+
+def approx_str_digit_loop(x, places=6):
+    """"~" decimal of a Fraction by long division one digit at a time,
+    stopping at `places` digits or a zero remainder, trailing zeros
+    dropped."""
+    sign = "-" if x < 0 else ""
+    n, d = abs(x.numerator), x.denominator
+    whole, rem = divmod(n, d)
+    digits = []
+    for _ in range(places):
+        rem *= 10
+        dig, rem = divmod(rem, d)
+        digits.append(str(dig))
+        if rem == 0:
+            break
+    frac_part = "".join(digits).rstrip("0")
+    if not frac_part:
+        return f"~{sign}{whole}"
+    return f"~{sign}{whole}.{frac_part}"
+
+
 # === appendix inequality ====================================================
 
 def appendix_displayed_bruteforce(p, n, f):

@@ -5,10 +5,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mufilt.cli_reports as cli
+import mufilt.signature_core as sc
+import oracles
 from mufilt import (
     InternalNonIntegral,
+    LevelCapExceeded,
     MufiltError,
     Polygon,
     RaynaudDatum,
@@ -320,6 +325,29 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--sig", SIG, "--n", "0")
         assert code == 1 and err.startswith("error:")
 
+    def test_level_cap_bounds_huge_n(self, capsys):
+        code, out, err = run(capsys, "analyze", "--sig", SIG, "--n", "100000")
+        # (n - 1) f bitlen(7) = 99999 * 2 * 3
+        assert code == 1 and out == ""
+        assert err == (
+            "error: the level loop needs p^((n-1)f) of up to 599994 bits,"
+            " cap is 4096\n"
+        )
+
+    def test_level_cap_fields(self, monkeypatch):
+        sig = parse_signature(SIG)
+        monkeypatch.setattr(sc, "LEVEL_CAP", 12)
+        build_report_bundle(sig, "scalar", (F(0), F(0)), 3)  # 2 * 2 * 3 = 12
+        with pytest.raises(LevelCapExceeded) as err:
+            build_report_bundle(sig, "scalar", (F(0), F(0)), 4)
+        assert (err.value.cap, err.value.required) == (12, 18)
+
+    def test_level_cap_admits_report_sizes(self):
+        # n <= 4 with a 30-bit p and f = 6: 3 * 6 * 30 bits
+        sig = parse_signature("{f:6,p:1073741789,h:6,q:[1,2,3,4,5,1]}")
+        bundle = build_report_bundle(sig, "scalar", (F(0),) * 6, 4)
+        assert len(bundle["towers"][0]["levels"]) == 4
+
     def test_bundle_rejects_level_zero(self):
         with pytest.raises(MufiltError, match="level n"):
             build_report_bundle(parse_signature(SIG), "scalar", (F(0), F(0)), 0)
@@ -607,6 +635,19 @@ class TestSerializeHelpers:
         assert approx_str(F(-1, 2)) == "~-0.5"
         assert approx_str(F(2)) == "~2"
         assert approx_str(F(1, 4)) == "~0.25"
+
+    @given(
+        st.fractions(max_denominator=10**12)
+        | st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+        st.integers(0, 12),
+    )
+    def test_approx_str_matches_digit_loop(self, x, places):
+        assert approx_str(x, places) == oracles.approx_str_digit_loop(x, places)
+
+    def test_approx_str_truncates_toward_zero(self):
+        assert approx_str(F(-1, 10**7)) == "~-0"
+        assert approx_str(F(2, 3)) == "~0.666666"
+        assert approx_str(F(-7, 3), 3) == "~-2.333"
 
     def test_parse_frac_accepts_common_shapes(self):
         assert parse_frac("3/4") == F(3, 4)

@@ -153,6 +153,59 @@ class TestMultiplicationMap:
         for sig, tau, K in cases:
             assert multiplication_map(sig, tau).K_value == K
 
+    def test_lazy_fields_match_eager_oracle(self):
+        cases = 0
+        for sig in iter_signatures(4, 5, (2, 3, 5, 7)):
+            for tau in range(sig.f):
+                if sig.is_degenerate(tau):
+                    continue
+                coeffs, K, transport = oracles.multiplication_map_eager(
+                    sig.f, sig.p, sig.q, tau
+                )
+                mm = multiplication_map(sig, tau)
+                assert mm.K_value == K
+                assert [(m.a, m.b, m.c) for m in mm.coeffs.entries] == coeffs
+                assert mm.transport_ok is transport is True
+                cases += 1
+        assert cases == 25864
+
+    @pytest.mark.parametrize("first", ["coeffs", "transport_ok"])
+    def test_construction_builds_one_coefficient(self, monkeypatch, first):
+        import mufilt.period_calculus as pc
+
+        calls = []
+        original = pc.multiplication_coeff
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pc, "multiplication_coeff", counted)
+        sig = Signature(f=4, p=5, h=4, q=(1, 3, 0, 2))
+        mm = multiplication_map(sig, 1)
+        assert calls == [(sig, 1, 1)]
+        assert mm.K_value == constants(sig).K[1]
+        assert len(calls) == 1
+        getattr(mm, first)
+        assert len(calls) == 1 + sig.f
+        assert mm.transport_ok and len(mm.coeffs.entries) == sig.f
+        assert len(calls) == 1 + sig.f
+
+    def test_equality_and_hash_cover_signature_tau_and_K(self):
+        sig = Signature(f=3, p=5, h=4, q=(1, 3, 2))
+        a = multiplication_map(sig, 1)
+        b = multiplication_map(Signature(f=3, p=5, h=4, q=(1, 3, 2)), 1)
+        b.coeffs, b.transport_ok  # read on one side only
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != multiplication_map(sig, 2)
+        assert a != multiplication_map(Signature(f=3, p=7, h=4, q=(1, 3, 2)), 1)
+        # a map whose K_value differs from the one (sig, tau) gives is unequal
+        c = multiplication_map(sig, 1)
+        object.__setattr__(c, "K_value", a.K_value + 1)
+        assert a != c
+        assert (a.sig, a.tau, a.K_value) == (sig, 1, constants(sig).K[1])
+
     def test_coeff_exponents_match_oracle(self):
         for sig in iter_signatures(3, 4, (5,)):
             for tau in range(sig.f):
