@@ -11,7 +11,6 @@ from .canonical_tower import (
     AppendixDetail,
     DeformationCheck,
     DualityBookkeeping,
-    HasseInput,
     PTorsionReport,
     TowerLevel,
     TowerReport,
@@ -35,11 +34,9 @@ from .errors import (
     HypothesisViolation,
     InternalInvariantBreach,
     InternalNonIntegral,
-    InvalidMultiplicity,
     LevelCapExceeded,
     MufiltError,
     NegativeExponent,
-    NegativeValuation,
     NotALattice,
     NotMuOrdinary,
     OrderViolation,
@@ -52,8 +49,6 @@ from .group_models import (
     RaynaudDatum,
     SplitSubgroupDesc,
     enumerate_split_subgroups,
-    enumeration_cap,
-    lt_torsion_desc,
     mu_ord_canonical_filtration,
     mu_ordinary_product,
     raynaud_degrees,
@@ -63,17 +58,12 @@ from .group_models import (
 from .hn_engine import (
     BreakCertificate,
     DegreeWeighting,
-    DetDegreeCheck,
     HNResult,
     bijakowski_containment,
     break_certificate,
     classical_weighting,
     deg_weighted,
-    det_degree_valid,
-    fitting_degree,
     hn_from_lattice,
-    mu_range_upper,
-    slope_mu,
     tau_weighting,
 )
 from .lt_crystals import (
@@ -101,12 +91,9 @@ from .period_calculus import (
     t_monomial,
 )
 from .polygons import (
-    DominanceReport,
     Polygon,
     hn_mu_ordinary_tau,
     hodge_polygon,
-    lies_above,
-    newton_from_slopes,
     renormalize,
     reversed_hodge,
 )
@@ -114,7 +101,6 @@ from .signature_core import (
     Signature,
     SignatureConstants,
     constants,
-    dual_signature,
     hasse_threshold,
     ladder_index,
     mu_ordinary_decomposition,

@@ -24,28 +24,9 @@ from .signature_core import (
     _h1_bound,
     _h3_bound,
     constants,
-    hasse_threshold,
     ladder_index,
     mu_ordinary_decomposition,
 )
-
-HYPOTHESIS_NAMES = ("H1", "H2", "H3", "Hn", "Hf")
-
-
-@dataclass(frozen=True)
-class HasseInput:
-    """Partial Hasse valuations, one per embedding; the mu-invariant
-    valuation is their sum."""
-
-    ha: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ha", tuple(_check_ha(v) for v in self.ha))
-
-    @property
-    def mu_ha(self) -> Fraction:
-        return sum(self.ha, Fraction(0))
-
 
 def _check_ha(ha) -> Fraction:
     ha = Fraction(ha)
@@ -143,12 +124,6 @@ class TowerLevel:
     classical_lower_bound: Fraction
     hypotheses: tuple[tuple[str, bool], ...]
 
-    def hypothesis(self, name: str) -> bool:
-        for key, val in self.hypotheses:
-            if key == name:
-                return val
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class TowerReport:
@@ -166,22 +141,37 @@ def tower_report(sig: Signature, tau: int, ha: Fraction, n: int) -> TowerReport:
     degree, its classical counterpart, and the five hypothesis flags.  The
     scalar ha is read as the worst partial Hasse valuation of the input,
     so Hn compares it against the smallest level-m threshold over the
-    nondegenerate embeddings.  Hypotheses are reported, never enforced.
+    nondegenerate embeddings, and Hf is Hn at level f; with no such
+    embedding both hold.  Hypotheses are reported, never enforced.
     """
     sig.check_embedding(tau)
     ha = _check_ha(ha)
     _check_level(n)
     f, p = sig.f, sig.p
     weighted, classical = _min_sums(sig, tau)
-    qualifying = [t for t in range(f) if not sig.is_degenerate(t)]
+    # The level-m threshold of hasse_threshold is min(1/2, h1 bound) over
+    # p^{(m-1)f} at every embedding, so ha is below all of them exactly
+    # when ha * p^{(m-1)f} is below the least numerator.
+    floor = min(
+        (
+            min(Fraction(1, 2), _h1_bound(sig, t))
+            for t in range(f)
+            if not sig.is_degenerate(t)
+        ),
+        default=None,
+    )
+
+    def below_thresholds(m: int) -> bool:
+        return floor is None or ha * p ** ((m - 1) * f) < floor
+
     h1 = ha < _h1_bound(sig, tau)
-    hf = all(ha < hasse_threshold(sig, t, f) for t in qualifying)
+    hf = below_thresholds(f)
     levels = []
     for m in range(1, n + 1):
         delta = Fraction(p ** (m * f) - 1, p**f - 1) * ha
         h2 = delta < Fraction(p - 2, p - 1)
         h3 = ha < _h3_bound(sig, tau, m)
-        hn = all(ha < hasse_threshold(sig, t, m) for t in qualifying)
+        hn = below_thresholds(m)
         levels.append(
             TowerLevel(
                 level=m,

@@ -509,14 +509,12 @@ def _build_parser() -> _Parser:
     pa.add_argument("--n", type=int, default=1, help="tower depth")
     pa.add_argument("--tau", type=int, help="restrict to one embedding")
     pa.add_argument("--human", action="store_true")
-    pa.add_argument("--json", action="store_true", help="(default)")
 
     pp = sub.add_parser("polygons", help="hodge, reversed hodge, tau profiles")
     add_sig(pp)
     pp.add_argument("--tau", type=int)
     pp.add_argument("--svg", help="write an SVG overlay to this path (- for stdout)")
     pp.add_argument("--human", action="store_true")
-    pp.add_argument("--json", action="store_true")
 
     ph = sub.add_parser("hn", help="Harder-Narasimhan run on a lattice")
     source = ph.add_mutually_exclusive_group(required=True)

@@ -16,10 +16,6 @@ class DegenerateEmbedding(MufiltError):
     """Raised when an operation needs q_tau outside {0, h}."""
 
 
-class InvalidMultiplicity(MufiltError):
-    """Nonpositive multiplicity in a slope multiset."""
-
-
 class DomainMismatch(MufiltError):
     """Polygon domains do not line up."""
 
@@ -48,10 +44,6 @@ class HeightMismatch(MufiltError):
 
 class OrderViolation(MufiltError):
     """Containment certificate called with d > c."""
-
-
-class NegativeValuation(MufiltError):
-    """Fitting-degree input valuations must be nonnegative."""
 
 
 class NegativeExponent(MufiltError):

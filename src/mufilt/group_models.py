@@ -8,7 +8,6 @@ partial degree per embedding.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -24,7 +23,7 @@ from .signature_core import (
     mu_ordinary_decomposition,
 )
 
-DEFAULT_ENUM_CAP = 10**6
+ENUM_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -166,42 +165,14 @@ def _raynaud_point_valuation(p: int, vgamma, slot: int) -> Fraction:
 
 # === Lubin-Tate torsion and mu-ordinary products ============================
 
-def lt_torsion_desc(
-    f: int, A: frozenset[int], m: int, n_cap: int
-) -> FiniteOModuleDesc:
-    """Descriptor of LT_A[p^m] inside an ambient p^n_cap-torsion group."""
-    A = frozenset(A)
-    if not A <= frozenset(range(f)):
-        raise MufiltError(f"subset {sorted(A)} outside 0..{f - 1}")
-    if m < 0:
-        raise MufiltError(f"torsion level m={m!r} must be >= 0")
-    if m > n_cap:
-        raise MufiltError(f"torsion level m={m} exceeds ambient level {n_cap}")
-    deg = tuple(Fraction(m if t in A else 0) for t in range(f))
-    return FiniteOModuleDesc(o_height=m, deg=deg, level=m)
-
-
 def mu_ordinary_product(sig: Signature, n: int) -> LTProductGroup:
     """The mu-ordinary product group of a signature, truncated at p^n."""
     _check_level(n)
     return LTProductGroup(sig.f, mu_ordinary_decomposition(sig), n)
 
 
-def enumeration_cap() -> int:
-    raw = os.environ.get("MUFILT_ENUM_CAP")
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise MufiltError(f"MUFILT_ENUM_CAP={raw!r} is not an integer")
-    if cap < 1:
-        raise MufiltError(f"MUFILT_ENUM_CAP={cap} must be >= 1")
-    return cap
-
-
 def enumerate_split_subgroups(
-    G: LTProductGroup, cap: int | None = None
+    G: LTProductGroup, cap: int = ENUM_CAP
 ) -> list[SplitSubgroupDesc]:
     """All split subgroups Prod_l LT_{A_l}[p^{s_l}] of the product.
 
@@ -212,8 +183,6 @@ def enumerate_split_subgroups(
     sets strictly increase, so the degree at an embedding first met in
     factor l is s_l + ... + s_r, and the height recovers s_0.
     """
-    if cap is None:
-        cap = enumeration_cap()
     n = G.level
     ranges = [n * m + 1 for _, m in G.factors]
     required = 1

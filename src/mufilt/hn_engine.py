@@ -24,7 +24,6 @@ from .errors import (
     HeightMismatch,
     InternalInvariantBreach,
     MufiltError,
-    NegativeValuation,
     NotALattice,
     OrderViolation,
 )
@@ -80,19 +79,6 @@ def deg_weighted(desc: FiniteOModuleDesc, w: DegreeWeighting) -> Fraction:
             f"descriptor has {desc.f} partial degrees, weighting expects {w.f}"
         )
     return sum(map(mul, desc.deg, w.weights), Fraction(0))
-
-
-def slope_mu(desc: FiniteOModuleDesc, w: DegreeWeighting) -> Fraction:
-    """Slope mu = Deg/(f * o_height); needs positive height."""
-    if desc.o_height <= 0:
-        raise MufiltError("slope of a height-zero descriptor")
-    return deg_weighted(desc, w) / (w.f * desc.o_height)
-
-
-def mu_range_upper(w: DegreeWeighting) -> Fraction:
-    """Largest possible slope, the total weight over f: 1 in classical
-    mode, (p^f - 1)/(f (p - 1)) in tau mode."""
-    return Fraction(sum(w.weights), w.f)
 
 
 @dataclass(frozen=True)
@@ -351,28 +337,3 @@ def bijakowski_containment(
     count = sum(1 for pt in pv if d <= n * pt <= c)
     return Fraction(degD) + Fraction(degC) > total - count
 
-
-def fitting_degree(divisor_valuations) -> Fraction:
-    """Degree of a finite module presented by elementary divisors: the sum
-    of their valuations."""
-    total = Fraction(0)
-    for i, v in enumerate(divisor_valuations):
-        v = Fraction(v)
-        if v < 0:
-            raise NegativeValuation(f"valuation {v} at position {i} is negative")
-        total += v
-    return total
-
-
-@dataclass(frozen=True)
-class DetDegreeCheck:
-    ok: bool
-    warning: bool
-
-
-def det_degree_valid(det_val: Fraction, r: int) -> DetDegreeCheck:
-    """Guard for reading degrees off a map of modules of rank r: sound when
-    v(det f) < r, flagged when equality holds (the equality case can
-    undercount)."""
-    det_val = Fraction(det_val)
-    return DetDegreeCheck(ok=det_val < r, warning=det_val == r)

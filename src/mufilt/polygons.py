@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainMismatch, InvalidMultiplicity, MufiltError
+from .errors import DomainMismatch, MufiltError
 from .signature_core import Signature, _frobenius_weights
 
 Point = tuple[Fraction, Fraction]
@@ -84,13 +84,6 @@ class Polygon:
         return self.points[-1][1]
 
 
-@dataclass(frozen=True)
-class DominanceReport:
-    dominates: bool
-    same_endpoints: bool
-    contacts: tuple[Fraction, ...]
-
-
 def hodge_polygon(sig: Signature) -> Polygon:
     """Convex polygon on [0, h] whose slope on [i, i+1] is #{q_tau <= i}/f."""
     pts: list[Point] = [(Fraction(0), Fraction(0))]
@@ -99,60 +92,6 @@ def hodge_polygon(sig: Signature) -> Polygon:
         y += Fraction(sum(1 for qt in sig.q if qt <= i), sig.f)
         pts.append((Fraction(i + 1), y))
     return Polygon(tuple(pts), "convex")
-
-
-def newton_from_slopes(slope_multiset) -> Polygon:
-    """Convex polygon built from (slope, multiplicity) pairs.
-
-    Slopes are sorted ascending and accumulated; multiplicities must be
-    positive integers.
-    """
-    pairs = []
-    for slope, mult in slope_multiset:
-        if not isinstance(mult, int) or mult <= 0:
-            raise InvalidMultiplicity(
-                f"multiplicity {mult!r} for slope {slope} must be a positive integer"
-            )
-        pairs.append((Fraction(slope), mult))
-    pairs.sort(key=lambda sm: sm[0])
-    pts: list[Point] = [(Fraction(0), Fraction(0))]
-    x = Fraction(0)
-    y = Fraction(0)
-    for slope, mult in pairs:
-        x += mult
-        y += slope * mult
-        pts.append((x, y))
-    if len(pts) == 1:
-        raise InvalidMultiplicity("empty slope multiset")
-    return Polygon(tuple(pts), "convex")
-
-
-def lies_above(upper: Polygon, lower: Polygon) -> DominanceReport:
-    """Pointwise comparison of two polygons over a shared domain.
-
-    Checks upper(x) >= lower(x) at the union of both breakpoint sets, which
-    settles dominance for piecewise-linear functions.  Contacts are the
-    breakpoint abscissas where the values agree.
-    """
-    if upper.domain != lower.domain:
-        raise DomainMismatch(
-            f"domains differ: {upper.domain} vs {lower.domain}"
-        )
-    xs = sorted({x for x, _ in upper.points} | {x for x, _ in lower.points})
-    dominates = True
-    contacts = []
-    for x in xs:
-        du = upper.value(x)
-        dl = lower.value(x)
-        if du < dl:
-            dominates = False
-        if du == dl:
-            contacts.append(x)
-    return DominanceReport(
-        dominates=dominates,
-        same_endpoints=upper.endpoint == lower.endpoint,
-        contacts=tuple(contacts),
-    )
 
 
 def reversed_hodge(sig: Signature) -> Polygon:

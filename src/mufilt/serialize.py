@@ -179,20 +179,6 @@ def polygon_json(poly: Polygon, human: bool = False) -> dict:
     return {"convexity": poly.convexity, "points": pts}
 
 
-def _points(obj, what: str) -> tuple:
-    pts = []
-    for entry in _parse_list(obj, what):
-        if not isinstance(entry, (list, tuple)) or len(entry) < 4:
-            raise MufiltError(f"polygon point {entry!r} needs four integers")
-        pts.append((parse_frac(entry[:2]), parse_frac(entry[2:4])))
-    return tuple(pts)
-
-
-def parse_polygon(obj) -> Polygon:
-    fields = {"points": _points, "convexity": lambda value, key: value}
-    return Polygon(**_read_object(obj, "polygon object", fields))
-
-
 def monomial_json(m, human: bool = False) -> dict:
     out = {"a": m.a, "b": list(m.b), "c": m.c, "text": m.text()}
     return out

@@ -136,10 +136,6 @@ class Signature:
         """Complementary numbers p_tau = h - q_tau."""
         return tuple(self.h - qt for qt in self.q)
 
-    def sigma(self, tau: int, j: int = 1) -> int:
-        """Image of embedding tau under sigma^j (j may be negative)."""
-        return (tau + j) % self.f
-
     def check_embedding(self, tau: int) -> int:
         return _check_index(tau, self.f, "embedding index")
 
@@ -214,11 +210,6 @@ def constants(sig: Signature) -> SignatureConstants:
     consts = SignatureConstants(tuple(k), tuple(K), tuple(r), tuple(n), tuple(kd))
     object.__setattr__(sig, "_constants", consts)
     return consts
-
-
-def dual_signature(sig: Signature) -> Signature:
-    """Dual datum: swaps each q_tau with p_tau = h - q_tau."""
-    return Signature(sig.f, sig.p, sig.h, sig.p_values)
 
 
 def _h1_bound(sig: Signature, tau: int) -> Fraction:

@@ -88,41 +88,12 @@ def merge_collinear(pts):
     return out
 
 
-def newton_sort_accumulate(slopes):
-    """slopes: iterable of (slope, multiplicity).  Returns breakpoints."""
-    pts = [(Fraction(0), Fraction(0))]
-    x = Fraction(0)
-    y = Fraction(0)
-    for s, m in sorted(slopes):
-        x += Fraction(m)
-        y += Fraction(s) * Fraction(m)
-        pts.append((x, y))
-    return merge_collinear(pts)
-
-
 def eval_piecewise(pts, x):
     x = Fraction(x)
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         if x0 <= x <= x1:
             return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
     raise ValueError("x outside domain")
-
-
-def upper_concave_envelope(points):
-    """Upper hull of a point cloud, monotone-chain style.  Input points are
-    (x, y) Fractions; output is the breakpoint list of the envelope."""
-    pts = sorted(set(points))
-    hull = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            # cross product <= 0 keeps the chain concave
-            if (x1 - x0) * (pt[1] - y0) - (pt[0] - x0) * (y1 - y0) >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
 
 
 def hn_tau_value(f, p, pvals, t, x):

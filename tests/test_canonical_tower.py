@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from conftest import iter_signatures
 from mufilt import (
+    AppendixDetail,
     DegenerateEmbedding,
-    HasseInput,
     HypothesisViolation,
     MufiltError,
     NotMuOrdinary,
@@ -18,6 +19,7 @@ from mufilt import (
     duality_bookkeeping,
     frobenius_deformation_check,
     hasse_recursion,
+    hasse_threshold,
     ptorsion_report,
     tower_report,
     worst_case,
@@ -29,19 +31,15 @@ HA = F(1, 100)
 
 
 class TestHasseInput:
-    def test_sum_and_coercion(self):
-        hi = HasseInput(ha=(F(1, 4), "1/2", 0))
-        assert hi.mu_ha == F(3, 4)
-        assert all(isinstance(v, Fraction) for v in hi.ha)
-
-    def test_out_of_range_rejected(self):
+    def test_out_of_range_rejected(self, ref_sig):
         with pytest.raises(MufiltError):
-            HasseInput(ha=(F(1, 2), F(3, 2)))
+            worst_case(ref_sig, F(3, 2))
         with pytest.raises(MufiltError):
-            HasseInput(ha=(F(-1, 2),))
+            tower_report(ref_sig, 1, F(-1, 2), 1)
 
-    def test_boundary_values_allowed(self):
-        assert HasseInput(ha=(0, 1)).mu_ha == 1
+    def test_boundary_values_allowed(self, ref_sig):
+        assert worst_case(ref_sig, 0) == 0
+        assert worst_case(ref_sig, 1) == 49
 
 
 class TestPTorsionReport:
@@ -124,20 +122,19 @@ class TestTowerReport:
         assert lv2.classical_lower_bound == F(7, 2)
 
     def test_reference_hypotheses(self, ref_sig):
-        lv1, lv2 = tower_report(ref_sig, 1, HA, 2).levels
-        assert lv1.hypothesis("H1") and lv1.hypothesis("Hn")
+        rep = tower_report(ref_sig, 1, HA, 2)
+        lv1, lv2 = (dict(lv.hypotheses) for lv in rep.levels)
+        assert lv1["H1"] and lv1["Hn"]
         # level-2 threshold 23/2352 sits below ha = 1/100
-        assert not lv2.hypothesis("Hn")
-        assert lv2.hypothesis("H1") == lv1.hypothesis("H1")
-        with pytest.raises(KeyError):
-            lv1.hypothesis("H9")
+        assert not lv2["Hn"]
+        assert lv2["H1"] == lv1["H1"]
 
     def test_level_one_matches_ptorsion(self, ref_sig):
         lv1 = tower_report(ref_sig, 1, HA, 1).levels[0]
         rep = ptorsion_report(ref_sig, 1, HA)
         assert lv1.deg_lower_bound == rep.deg_identity_rhs
         assert lv1.classical_lower_bound == rep.classical_lower_bound
-        assert lv1.hypothesis("H1") == rep.h1_ok
+        assert dict(lv1.hypotheses)["H1"] == rep.h1_ok
 
     def test_dual_degree_accumulation(self, ref_sig):
         # delta_{m+1} = delta_m + p^{mf} * ha
@@ -152,6 +149,25 @@ class TestTowerReport:
     def test_bad_level_rejected(self, ref_sig):
         with pytest.raises(MufiltError):
             tower_report(ref_sig, 1, HA, 0)
+
+    def test_hn_hf_flags_match_thresholds_on_grid(self):
+        # Hn at level m, and Hf at level f, hold exactly when ha is below
+        # hasse_threshold at every nondegenerate embedding; 23/48 and
+        # 23/2352 sit on the ref_sig thresholds at levels 1 and 2
+        has = (F(0), F(1, 100), F(1, 3), F(1, 2), F(1), F(23, 48), F(23, 2352))
+        for sig in iter_signatures(3, 4, (2, 7)):
+            live = [u for u in range(sig.f) if not sig.is_degenerate(u)]
+            expected = {
+                (ha, m): all(ha < hasse_threshold(sig, u, m) for u in live)
+                for ha in has
+                for m in range(1, 4)
+            }
+            for tau in range(sig.f):
+                for ha in has:
+                    for lv in tower_report(sig, tau, ha, 3).levels:
+                        flags = dict(lv.hypotheses)
+                        assert flags["Hn"] == expected[ha, lv.level]
+                        assert flags["Hf"] == expected[ha, sig.f]
 
 
 class TestDeformationCheck:
@@ -201,6 +217,11 @@ class TestAppendixLemma:
                     P = p**f
                     cleared = P ** (n - 1) * (2 * f * P - 2 * f - 3) + 3 >= 0
                     assert cleared == det.displayed_ok
+                    assert det == AppendixDetail(
+                        displayed_ok=oracles.appendix_displayed_bruteforce(p, n, f),
+                        reduced_ok=oracles.appendix_reduced_bruteforce(p, n, f),
+                        anchor_ok=oracles.appendix_anchor_bruteforce(p, f),
+                    )
                     if det.reduced_ok != det.displayed_ok:
                         disagree.append((p, n, f))
         assert disagree == [(2, n, 1) for n in range(3, 9)]

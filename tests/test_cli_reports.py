@@ -15,7 +15,6 @@ from mufilt import (
     InternalNonIntegral,
     LevelCapExceeded,
     MufiltError,
-    Polygon,
     RaynaudDatum,
     hodge_polygon,
     raynaud_degrees,
@@ -32,9 +31,7 @@ from mufilt.serialize import (
     parse_frac,
     parse_int,
     parse_lattice,
-    parse_polygon,
     parse_signature,
-    polygon_json,
     relaxed_literal,
 )
 from mufilt.svg import render_polygons
@@ -759,12 +756,6 @@ class TestSerializeHelpers:
 
     def test_parse_signature_round_trip(self, ref_sig):
         assert parse_signature(SIG) == ref_sig
-
-    def test_parse_polygon_round_trip(self):
-        poly = Polygon(
-            ((F(0), F(0)), (F(2), F(1))), convexity="concave"
-        )
-        assert parse_polygon(polygon_json(poly)) == poly
 
     def test_parse_lattice_shapes(self):
         nodes, pairs = parse_lattice(

@@ -18,8 +18,6 @@ from mufilt import (
     Signature,
     SplitSubgroupDesc,
     enumerate_split_subgroups,
-    enumeration_cap,
-    lt_torsion_desc,
     mu_ord_canonical_filtration,
     mu_ordinary_product,
     raynaud_degrees,
@@ -126,16 +124,6 @@ class TestDescriptors:
         assert b.contains(a)
         assert not a.contains(b)
 
-    def test_lt_torsion_desc(self):
-        desc = lt_torsion_desc(3, frozenset({0, 2}), 2, 4)
-        assert desc.o_height == 2
-        assert desc.level == 2
-        assert desc.deg == (F(2), F(0), F(2))
-
-    def test_lt_torsion_caps_level(self):
-        with pytest.raises(MufiltError):
-            lt_torsion_desc(2, frozenset({0}), 3, 2)
-
 
 class TestProductGroup:
     def test_reference_product(self, ref_sig):
@@ -195,15 +183,18 @@ class TestEnumeration:
         assert err.value.cap == 4
         assert err.value.required == 8
 
-    def test_cap_env_var(self, ref_sig, monkeypatch):
-        monkeypatch.setenv("MUFILT_ENUM_CAP", "4")
-        assert enumeration_cap() == 4
-        with pytest.raises(EnumerationCapExceeded):
-            enumerate_split_subgroups(mu_ordinary_product(ref_sig, 1))
-
     def test_cap_default(self, monkeypatch):
-        monkeypatch.delenv("MUFILT_ENUM_CAP", raising=False)
-        assert enumeration_cap() == 10**6
+        # 1001 * 1001 nodes, just past the default cap of 10^6; with the
+        # descriptor class taken away, building any node would raise
+        # TypeError, so the cap is checked before enumeration starts
+        G = LTProductGroup(
+            f=1, factors=((frozenset(), 1000), (frozenset({0}), 1000)), level=1
+        )
+        monkeypatch.setattr("mufilt.group_models.SplitSubgroupDesc", None)
+        with pytest.raises(EnumerationCapExceeded) as err:
+            enumerate_split_subgroups(G)
+        assert err.value.cap == 10**6
+        assert err.value.required == 1001 * 1001
 
     def test_heights_and_degrees_unique(self):
         # (o_height, deg vector) identifies the torsion vector

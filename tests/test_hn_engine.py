@@ -19,7 +19,6 @@ from mufilt import (
     HeightMismatch,
     LTProductGroup,
     MufiltError,
-    NegativeValuation,
     NotALattice,
     OrderViolation,
     Signature,
@@ -28,17 +27,13 @@ from mufilt import (
     break_certificate,
     classical_weighting,
     deg_weighted,
-    det_degree_valid,
     enumerate_split_subgroups,
-    fitting_degree,
     hn_from_lattice,
     hn_mu_ordinary_tau,
     mu_ord_canonical_filtration,
     mu_ordinary_product,
-    mu_range_upper,
     renormalize,
     reversed_hodge,
-    slope_mu,
     tau_weighting,
 )
 from mufilt.hn_engine import _containment_from_pairs
@@ -83,16 +78,6 @@ class TestWeighting:
         w = tau_weighting(7, 3, 0)
         with pytest.raises(DimensionMismatch):
             deg_weighted(desc(1, (1, 1)), w)
-
-    def test_slope_mu(self):
-        w = tau_weighting(7, 2, 1)
-        assert slope_mu(desc(1, (1, 1)), w) == F(8, 2)
-        with pytest.raises(MufiltError):
-            slope_mu(desc(0, (0, 0)), w)
-
-    def test_mu_range_upper(self):
-        assert mu_range_upper(classical_weighting(7, 2)) == 1
-        assert mu_range_upper(tau_weighting(7, 2, 0)) == F(48, 12)
 
 
 class TestFromLattice:
@@ -645,22 +630,3 @@ class TestBijakowski:
         sig = Signature(f=2, p=7, h=3, q=(1, 2))
         assert not bijakowski_containment(sig, 1, 2, 2, F(2), F(3))
 
-
-class TestFittingDegree:
-    def test_sum(self):
-        assert fitting_degree([F(1, 2), F(1, 3)]) == F(5, 6)
-
-    def test_empty(self):
-        assert fitting_degree([]) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(NegativeValuation):
-            fitting_degree([F(1, 2), F(-1, 3)])
-
-    def test_det_degree_guard(self):
-        assert det_degree_valid(F(3, 2), 2).ok
-        assert not det_degree_valid(F(3, 2), 2).warning
-        edge = det_degree_valid(F(2), 2)
-        assert not edge.ok
-        assert edge.warning
-        assert not det_degree_valid(F(5, 2), 2).ok

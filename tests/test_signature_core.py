@@ -15,7 +15,6 @@ from mufilt import (
     MufiltError,
     Signature,
     constants,
-    dual_signature,
     hasse_threshold,
     ladder_index,
     mu_ordinary_decomposition,
@@ -78,11 +77,6 @@ class TestValidation:
 
     def test_p_values(self, ref_sig):
         assert ref_sig.p_values == (2, 1)
-
-    def test_sigma_shift(self, ref_sig):
-        assert ref_sig.sigma(0) == 1
-        assert ref_sig.sigma(1) == 0
-        assert ref_sig.sigma(0, 2) == 0
 
 
 class TestPrimality:
@@ -161,11 +155,9 @@ class TestConstants:
 
     @given(sig_strategy)
     def test_k_dual_is_k_of_dual(self, sig):
-        assert constants(sig).k_dual == constants(dual_signature(sig)).k
-
-    @given(sig_strategy)
-    def test_dual_involution(self, sig):
-        assert dual_signature(dual_signature(sig)) == sig
+        # the dual datum swaps each q_tau with p_tau
+        dual = Signature(sig.f, sig.p, sig.h, sig.p_values)
+        assert constants(sig).k_dual == constants(dual).k
 
     def test_computed_once_per_signature(self, ref_sig):
         fresh = Signature(f=2, p=7, h=3, q=(1, 2))
@@ -179,11 +171,6 @@ class TestConstants:
         assert hash(ref_sig) == hash(fresh) == hash(other)
         assert repr(ref_sig) == repr(other)
         assert [fld.name for fld in fields(ref_sig)] == ["f", "p", "h", "q"]
-
-    def test_dual_swaps_p_and_q(self, ref_sig):
-        d = dual_signature(ref_sig)
-        assert d.q == ref_sig.p_values
-        assert d.p_values == ref_sig.q
 
 
 class TestThresholds:
