@@ -27,6 +27,7 @@ from .errors import (
     AdditivityViolation,
     AmbiguousLattice,
     DegenerateEmbedding,
+    DigitCapExceeded,
     DimensionMismatch,
     DomainMismatch,
     EnumerationCapExceeded,

@@ -31,6 +31,7 @@ from .serialize import (
     frac_json,
     monomial_json,
     parse_frac,
+    parse_desc,
     parse_int,
     parse_lattice,
     parse_signature,
@@ -145,7 +146,9 @@ def build_report_bundle(
     human: bool = False,
 ) -> dict:
     sc._check_level(n)
-    sc._check_level_work(sig, n)
+    # heights, levels and the Hasse inputs multiply the powers of p
+    scale = sig.h * n * sig.f * max(abs(v.numerator) + v.denominator for v in ha_vals)
+    sc._check_level_work(sig.f, sig.p, n, scale)
     consts = sc.constants(sig)
     ok, diags = sc.prime_admissible(sig)
     taus = list(range(sig.f)) if tau is None else [sig.check_embedding(tau)]
@@ -309,13 +312,22 @@ def _constant_laws(sig):
 
 
 def _hn_equalities(sig, n):
-    nodes = gm.enumerate_split_subgroups(gm.mu_ordinary_product(sig, n))
-    classical = hn.hn_from_lattice(nodes, hn.classical_weighting(sig.p, sig.f))
+    """The split product's HN polygons are the reversed Hodge polygon and
+    the tau profiles, with one filtration for every mode; the integer walk
+    of hn --sig and the descriptor engine agree in every mode."""
+    G = gm.mu_ordinary_product(sig, n)
+    nodes = gm.enumerate_split_subgroups(G)
+    rows = gm._split_nodes(G)
+    w = hn.classical_weighting(sig.p, sig.f)
+    classical = hn.hn_from_lattice(nodes, w)
+    if _split_select(rows, n, w) != classical:
+        return False
     if pg.renormalize(classical.polygon, n) != pg.reversed_hodge(sig):
         return False
     for t in range(sig.f):
-        res = hn.hn_from_lattice(nodes, hn.tau_weighting(sig.p, sig.f, t))
-        if res.filtration != classical.filtration:
+        w = hn.tau_weighting(sig.p, sig.f, t)
+        res = hn.hn_from_lattice(nodes, w)
+        if _split_select(rows, n, w) != res or res.filtration != classical.filtration:
             return False
         mu_poly = pg.hn_mu_ordinary_tau(sig, t)
         for x, y in pg.renormalize(res.polygon, n).points:
@@ -556,6 +568,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_polygons(args) -> int:
     sig = parse_signature(args.sig)
+    sc._check_level_work(sig.f, sig.p, 1, sig.h * sig.f)
     taus = list(range(sig.f)) if args.tau is None else [sig.check_embedding(args.tau)]
     if not args.svg:
         out = _polygons_json(sig, taus, args.human)
@@ -580,6 +593,14 @@ def _cmd_polygons(args) -> int:
     return 0
 
 
+def _split_select(rows, n: int, w: hn.DegreeWeighting) -> hn.HNResult:
+    """HN selection over the _split_nodes rows of a split product at level
+    n, ordered by their torsion keys; descriptors are built for the
+    filtration's nodes only."""
+    ht, _, degs, keys = zip(*rows)
+    return hn._hn_select(ht, degs, 1, w, lambda i: gm._split_desc(rows[i], n), keys)
+
+
 def _cmd_hn(args) -> int:
     if args.mode == "tau" and args.tau is None:
         raise MufiltError("--mode tau needs --tau")
@@ -592,10 +613,11 @@ def _cmd_hn(args) -> int:
         )
     if args.sig is not None:
         sig = parse_signature(args.sig)
-        nodes = gm.enumerate_split_subgroups(
-            gm.mu_ordinary_product(sig, 1 if args.n is None else args.n)
-        )
-        pairs = None
+        n = 1 if args.n is None else args.n
+        if args.mode == "tau":
+            # Deg_tau weights reach p^(f-1); classical weights are all 1
+            sc._check_level_work(sig.f, sig.p, 1, sig.h * n * sig.f)
+        rows = gm._split_nodes(gm.mu_ordinary_product(sig, n))
         f, p = sig.f, sig.p
     else:
         if args.n is not None:
@@ -607,10 +629,11 @@ def _cmd_hn(args) -> int:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise MufiltError(f"cannot read lattice file {args.lattice!r}: {exc}")
-        nodes, pairs = parse_lattice(text)
-        if not nodes:
+        data = relaxed_literal(text)
+        rows, pairs = parse_lattice(data)
+        if not rows:
             raise MufiltError("lattice file holds no nodes")
-        f = nodes[0].f
+        f = len(rows[0][1])
         if args.mode == "tau" and args.p is None:
             raise MufiltError("--mode tau on a lattice file needs --p")
         # classical weights are all 1; any prime passes the weighting's check
@@ -619,11 +642,24 @@ def _cmd_hn(args) -> int:
         w = hn.classical_weighting(p, f)
     else:
         w = hn.tau_weighting(p, f, args.tau)
-    result = hn.hn_from_lattice(nodes, w, containment=pairs)
+    if args.sig is not None:
+        result = _split_select(rows, n, w)
+    else:
+        ht, fdegs, _, keys = zip(*rows)
+        degs, L = hn._integer_rows(fdegs)
+        if args.mode == "tau":
+            top = max(max(row, default=0) for row in degs)
+            sc._check_level_work(f, p, 1, L * f * max(ht) * top)
+        # the filtration's nodes are read again, as descriptors
+        raw = data if isinstance(data, list) else data["nodes"]
+        result = hn._hn_select(
+            ht, degs, L, w, lambda i: parse_desc(raw[i]),
+            None if None in keys else keys, pairs,
+        )
     out = {
         "mode": args.mode,
         "tau": args.tau,
-        "nodes": len(nodes),
+        "nodes": len(rows),
         "result": hn_result_json(result, args.human),
     }
     sys.stdout.write(dump_json(out))
@@ -691,6 +727,7 @@ def _cmd_periods(args) -> int:
 def _cmd_lts(args) -> int:
     fields = {"f": parse_int, "p": parse_int, "S": _ints, "tau0": parse_int}
     model = lt.LTSModel(**_read_object(args.model, "model", fields))
+    sc._check_level_work(model.f, model.p)
     gen = lt.tate_generator(model)
     check = lt.verify_phi_eq_p(model)
     exponents = list(lt.frobenius_matrix(model))

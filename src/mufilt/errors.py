@@ -74,6 +74,19 @@ class LevelCapExceeded(MufiltError):
         )
 
 
+class DigitCapExceeded(MufiltError):
+    """A report could print an integer longer than the interpreter writes
+    in decimal: sys.get_int_max_str_digits(), held as a bit length."""
+
+    def __init__(self, cap: int, required: int):
+        self.cap = cap
+        self.required = required
+        super().__init__(
+            f"the output needs integers of up to {required} bits, cap is {cap}"
+            " (sys.get_int_max_str_digits() decimal digits)"
+        )
+
+
 class WindowViolation(MufiltError):
     """Hasse recursion called outside its validity window.  Carries the
     unconditional fallback lower bound 1 - ha for the quotient invariant."""

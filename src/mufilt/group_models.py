@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 from .errors import EnumerationCapExceeded, MufiltError
 from .signature_core import (
@@ -53,6 +53,19 @@ class RaynaudDatum:
         return tuple(1 - v for v in self.vdelta)
 
 
+def _check_desc(o_height: int, deg, level: int) -> None:
+    """The one guard on a descriptor's fields: height, level and every
+    partial degree nonnegative."""
+    if o_height < 0:
+        raise MufiltError(f"o_height must be >= 0, got {o_height!r}")
+    if level < 0:
+        raise MufiltError(f"level must be >= 0, got {level!r}")
+    for t, d in enumerate(deg):
+        # Fractions keep a positive denominator
+        if d.numerator < 0:
+            raise MufiltError(f"deg[{t}]={d} must be >= 0")
+
+
 @dataclass(frozen=True)
 class FiniteOModuleDesc:
     """Descriptor (O-height, partial degrees, torsion level).
@@ -65,14 +78,7 @@ class FiniteOModuleDesc:
     level: int
 
     def __post_init__(self):
-        if self.o_height < 0:
-            raise MufiltError(f"o_height must be >= 0, got {self.o_height!r}")
-        if self.level < 0:
-            raise MufiltError(f"level must be >= 0, got {self.level!r}")
-        for t, d in enumerate(self.deg):
-            # Fractions keep a positive denominator
-            if d.numerator < 0:
-                raise MufiltError(f"deg[{t}]={d} must be >= 0")
+        _check_desc(self.o_height, self.deg, self.level)
 
     @property
     def f(self) -> int:
@@ -171,17 +177,18 @@ def mu_ordinary_product(sig: Signature, n: int) -> LTProductGroup:
     return LTProductGroup(sig.f, mu_ordinary_decomposition(sig), n)
 
 
-def enumerate_split_subgroups(
+def _split_nodes(
     G: LTProductGroup, cap: int = ENUM_CAP
-) -> list[SplitSubgroupDesc]:
-    """All split subgroups Prod_l LT_{A_l}[p^{s_l}] of the product.
+) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """All split subgroups Prod_l LT_{A_l}[p^{s_l}] of the product, in
+    integers: one row (height, total degree, degrees, torsion) each, sorted.
 
     The mult_l copies of one factor contribute interchangeably, so a
     subgroup is determined by the total torsion s_l in [0, n*mult_l] per
-    factor.  Output sorted by (height, total degree, degree sequence).
-    Distinct torsion vectors give distinct (height, degrees): the factor
-    sets strictly increase, so the degree at an embedding first met in
-    factor l is s_l + ... + s_r, and the height recovers s_0.
+    factor.  The factor sets strictly increase, so the degree at an
+    embedding first met in factor l is s_l + ... + s_r, and 0 at one in no
+    factor.  Distinct torsion vectors give distinct (height, degrees): the
+    degrees give every sum s_l + ... + s_r with l > 0, and the height s_0.
     """
     n = G.level
     ranges = [n * m + 1 for _, m in G.factors]
@@ -190,21 +197,34 @@ def enumerate_split_subgroups(
         required *= r
     if required > cap:
         raise EnumerationCapExceeded(cap, required)
-    subsets = [A for A, _ in G.factors]
-    out = []
-    for sums in product(*(range(r) for r in ranges)):
-        ht = sum(sums)
-        deg = [Fraction(0)] * G.f
-        for A, s in zip(subsets, sums):
-            for t in A:
-                deg[t] += s
-        out.append(
-            SplitSubgroupDesc(
-                o_height=ht, deg=tuple(deg), level=n, torsion=sums
-            )
-        )
-    out.sort(key=lambda s: (s.o_height, s.total_degree, s.deg, s.torsion))
-    return out
+    # embedding t first met in factor l (l = r when in none) has degree
+    # acc[r - l], where acc[k] sums the last k entries of the torsion vector
+    r = len(ranges)
+    back = [
+        r - next((l for l, (A, _) in enumerate(G.factors) if t in A), r)
+        for t in range(G.f)
+    ]
+    rows = []
+    for sums in product(*map(range, ranges)):
+        acc = (0, *accumulate(reversed(sums)))
+        deg = tuple([acc[k] for k in back])
+        rows.append((acc[r], sum(deg), deg, sums))
+    rows.sort()
+    return rows
+
+
+def _split_desc(row, level: int) -> SplitSubgroupDesc:
+    """The descriptor of one _split_nodes row at the given level."""
+    ht, _, deg, torsion = row
+    return SplitSubgroupDesc(ht, tuple(map(Fraction, deg)), level, torsion)
+
+
+def enumerate_split_subgroups(
+    G: LTProductGroup, cap: int = ENUM_CAP
+) -> list[SplitSubgroupDesc]:
+    """All split subgroups of the product as descriptors, sorted by
+    (height, total degree, degree sequence, torsion); see _split_nodes."""
+    return [_split_desc(row, G.level) for row in _split_nodes(G, cap)]
 
 
 def mu_ord_canonical_filtration(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import and_, lt, mul
+from operator import and_, le, lt, mul
 
 from .errors import (
     AdditivityViolation,
@@ -122,50 +122,34 @@ def _containment_from_pairs(n: int, pairs) -> list[int]:
     return up
 
 
-def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
-    """Harder-Narasimhan filtration of the top object of a subobject lattice.
-
-    nodes: descriptors closed under the containment order.  The order is
-    taken from explicit (i, j) index pairs when given, from per-factor
-    torsion keys when every node carries one, and from componentwise
-    (height, degrees) comparison otherwise; the last fallback is only
-    sound for chains and is meant for hand-written inputs.  Explicit pairs
-    are closed by one pass over a topological order, which keeps an up-set
-    bitmask per node; pairs that form a cycle raise NotALattice, and
-    self-pairs (i, i) are accepted and ignored.  With pairs, each step's
-    candidates are the set bits of the current node's up-set; the other
-    two orders test every node.  Either way candidates come in ascending
-    index order.
-
-    Selection: starting from the zero object, repeatedly pick the node
-    above the current one whose quotient maximizes the slope, breaking
-    ties by maximal height.  A residual tie between distinct descriptors
-    raises AmbiguousLattice.  Quotient heights and partial degrees must be
-    nonnegative along every chain the selection walks.
-    """
-    nodes = list(nodes)
-    if not nodes:
-        raise NotALattice("empty node set")
-    for d in nodes:
-        if d.f != w.f:
-            raise DimensionMismatch(
-                f"descriptor has {d.f} partial degrees, weighting expects {w.f}"
-            )
-    n = len(nodes)
-    # Integer selection: every partial degree is held over one common
-    # denominator L, and Deg is linear, so a quotient's weighted degree is
-    # the difference of two node totals.  A slope is that difference over
-    # L * f * (height difference); slopes are compared by cross-multiplying
-    # with the positive height differences, and Fractions are built only
-    # for the node each step picks.
-    ratios = [[d.as_integer_ratio() for d in node.deg] for node in nodes]
+def _integer_rows(degs) -> tuple[list[tuple[int, ...]], int]:
+    """Rational degree rows held over one common denominator L: returns
+    the integer rows L * deg and L."""
+    ratios = [[d.as_integer_ratio() for d in row] for row in degs]
     L = lcm(*{den for row in ratios for _, den in row})
-    ideg = [tuple([num * (L // den) for num, den in row]) for row in ratios]
-    ht = [node.o_height for node in nodes]
+    return [tuple([num * (L // den) for num, den in row]) for row in ratios], L
+
+
+def _hn_select(
+    ht, rows, L: int, w: DegreeWeighting, node, keys=None, containment=None
+) -> HNResult:
+    """Harder-Narasimhan selection over integer rows: node i has height
+    ht[i] and partial degrees rows[i] / L.  The order is taken from the
+    (i, j) containment pairs when given, else from the keys: i lies below
+    j when keys[i] <= keys[j] componentwise, with (height, degrees) as the
+    keys when none are given.  node(i) is the descriptor of node i; it is
+    called only for the nodes of the filtration.  See hn_from_lattice.
+    """
+    n = len(rows)
+    for row in rows:
+        if len(row) != w.f:
+            raise DimensionMismatch(
+                f"descriptor has {len(row)} partial degrees, weighting expects {w.f}"
+            )
     # a bad pair (out of range, cycle) is reported before a missing zero object
     if containment is not None:
         up = _containment_from_pairs(n, containment)
-    bottom = next((i for i in range(n) if ht[i] == 0 and not any(ideg[i])), -1)
+    bottom = next((i for i in range(n) if ht[i] == 0 and not any(rows[i])), -1)
     if bottom < 0:
         raise NotALattice("no zero object among the nodes")
     if containment is not None:
@@ -182,28 +166,31 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
                 mask ^= low
 
     else:
-        if all(isinstance(d, SplitSubgroupDesc) for d in nodes):
-            def leq(i: int, j: int) -> bool:
-                return nodes[j].contains(nodes[i])
-
-        else:
-            def leq(i: int, j: int) -> bool:
-                a, b = nodes[i], nodes[j]
-                return a.o_height <= b.o_height and all(
-                    x <= y for x, y in zip(a.deg, b.deg)
-                )
-
-        top = next((j for j in range(n) if all(leq(i, j) for i in range(n))), -1)
+        if keys is None:
+            keys = [(h, *row) for h, row in zip(ht, rows)]
+        elif len(set(map(len, keys))) > 1:
+            raise MufiltError("torsion keys of different products")
+        # a top lies above every node: its key is the componentwise maximum
+        roof = tuple(map(max, zip(*keys)))
+        top = next((j for j in range(n) if keys[j] == roof), -1)
 
         def above(i: int):
-            return (j for j in range(n) if j != i and leq(i, j))
+            low = keys[i]
+            return [
+                j for j, key in enumerate(keys) if j != i and all(map(le, low, key))
+            ]
 
     if top < 0:
         raise NotALattice("no top object among the nodes")
-    tot = [sum(map(mul, row, w.weights)) for row in ideg]
+    # Deg is linear, so a quotient's weighted degree is the difference of
+    # two node totals.  A slope is that difference over L * f * (height
+    # difference); slopes are compared by cross-multiplying with the
+    # positive height differences, and Fractions are built only for the
+    # node each step picks.
+    tot = [sum(map(mul, row, w.weights)) for row in rows]
 
     current = bottom
-    filtration = [nodes[bottom]]
+    chain = [bottom]
     slopes: list[Fraction] = []
     points = [(Fraction(0), Fraction(0))]
     x = Fraction(0)
@@ -211,10 +198,10 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
     while current != top:
         best = None
         tie = False
-        cur_ht, cur_deg, cur_tot = ht[current], ideg[current], tot[current]
+        cur_ht, cur_deg, cur_tot = ht[current], rows[current], tot[current]
         for j in above(current):
             dht = ht[j] - cur_ht
-            if dht < 0 or any(map(lt, ideg[j], cur_deg)):
+            if dht < 0 or any(map(lt, rows[j], cur_deg)):
                 raise AdditivityViolation(
                     f"quotient of node {j} by node {current} has a negative component"
                 )
@@ -229,7 +216,7 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
             if cmp > 0 or (cmp == 0 and dht > best_dht):
                 best, best_dht, best_dtot = j, dht, dtot
                 tie = False
-            elif cmp == 0 and dht == best_dht and ideg[j] != ideg[best]:
+            elif cmp == 0 and dht == best_dht and rows[j] != rows[best]:
                 tie = True
         if best is None:
             raise NotALattice(
@@ -253,11 +240,46 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
         y += Fraction(best_dtot, L * w.f if w.mode == "classical" else L)
         points.append((x, y))
         slopes.append(best_slope)
-        filtration.append(nodes[best])
+        chain.append(best)
         current = best
-    polygon = Polygon(tuple(points), "concave")
     return HNResult(
-        polygon=polygon, filtration=tuple(filtration), slopes=tuple(slopes)
+        polygon=Polygon(tuple(points), "concave"),
+        filtration=tuple(map(node, chain)),
+        slopes=tuple(slopes),
+    )
+
+
+def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
+    """Harder-Narasimhan filtration of the top object of a subobject lattice.
+
+    nodes: descriptors closed under the containment order.  The order is
+    taken from explicit (i, j) index pairs when given, from per-factor
+    torsion keys when every node carries one, and from componentwise
+    (height, degrees) comparison otherwise; the last fallback is only
+    sound for chains and is meant for hand-written inputs.  Explicit pairs
+    are closed by one pass over a topological order, which keeps an up-set
+    bitmask per node; pairs that form a cycle raise NotALattice, and
+    self-pairs (i, i) are accepted and ignored.  With pairs, each step's
+    candidates are the set bits of the current node's up-set; the other
+    two orders compare keys with every node.  Either way candidates come
+    in ascending index order.
+
+    Selection: starting from the zero object, repeatedly pick the node
+    above the current one whose quotient maximizes the slope, breaking
+    ties by maximal height.  A residual tie between distinct descriptors
+    raises AmbiguousLattice.  Quotient heights and partial degrees must be
+    nonnegative along every chain the selection walks.  The selection runs
+    in integers, every partial degree held over one common denominator.
+    """
+    nodes = list(nodes)
+    if not nodes:
+        raise NotALattice("empty node set")
+    rows, L = _integer_rows([d.deg for d in nodes])
+    keys = None
+    if all(isinstance(d, SplitSubgroupDesc) for d in nodes):
+        keys = [d.torsion for d in nodes]
+    return _hn_select(
+        [d.o_height for d in nodes], rows, L, w, nodes.__getitem__, keys, containment
     )
 
 

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 
 from .errors import MufiltError
-from .group_models import FiniteOModuleDesc, SplitSubgroupDesc
+from .group_models import FiniteOModuleDesc, SplitSubgroupDesc, _check_desc
 from .polygons import Polygon
 from .signature_core import Signature
 
@@ -199,10 +199,12 @@ _DESC_KEYS = frozenset(("o_height", "deg", "level"))
 _SPLIT_KEYS = _DESC_KEYS | {"torsion"}
 
 
-def parse_desc(obj) -> FiniteOModuleDesc:
-    """Read a descriptor {o_height, deg, level, torsion?} in one pass: its
-    keys are compared once with the two allowed sets, then each field is
-    read in place, in that order, so the first bad field is the one named."""
+def _read_node(obj) -> tuple[int, tuple[Fraction, ...], int, tuple[int, ...] | None]:
+    """Read a descriptor {o_height, deg, level, torsion?} in one pass, as
+    the row (o_height, deg, level, torsion or None): its keys are compared
+    once with the two allowed sets, then each field is read in place, in
+    that order, so the first bad field is the one named.  The fields are
+    then checked as FiniteOModuleDesc checks them."""
     if isinstance(obj, str):
         obj = relaxed_literal(obj)
     if not isinstance(obj, dict):
@@ -214,14 +216,21 @@ def parse_desc(obj) -> FiniteOModuleDesc:
     o_height = parse_int(obj["o_height"], "o_height")
     deg = tuple([parse_frac(x) for x in _parse_list(obj["deg"], "deg")])
     level = parse_int(obj["level"], "level")
-    if split:
-        torsion = _ints(obj["torsion"], "torsion")
-        return SplitSubgroupDesc(o_height, deg, level, torsion)
-    return FiniteOModuleDesc(o_height, deg, level)
+    torsion = _ints(obj["torsion"], "torsion") if split else None
+    _check_desc(o_height, deg, level)
+    return o_height, deg, level, torsion
 
 
-def _nodes(obj, what: str) -> list[FiniteOModuleDesc]:
-    return [parse_desc(node) for node in _parse_list(obj, what)]
+def parse_desc(obj) -> FiniteOModuleDesc:
+    """Read one descriptor with _read_node: split when it has torsion."""
+    o_height, deg, level, torsion = _read_node(obj)
+    if torsion is None:
+        return FiniteOModuleDesc(o_height, deg, level)
+    return SplitSubgroupDesc(o_height, deg, level, torsion)
+
+
+def _nodes(obj, what: str) -> list:
+    return [_read_node(node) for node in _parse_list(obj, what)]
 
 
 def _pairs(obj, what: str) -> list[tuple[int, int]] | None:
@@ -241,9 +250,10 @@ def _pairs(obj, what: str) -> list[tuple[int, int]] | None:
     return pairs
 
 
-def parse_lattice(obj) -> tuple[list[FiniteOModuleDesc], list | None]:
+def parse_lattice(obj) -> tuple[list, list | None]:
     """Read a lattice file: {nodes: [...], containment: [[i,j],...]?}; a bare
-    list is the nodes, and a null or absent containment means no pairs."""
+    list is the nodes, and a null or absent containment means no pairs.
+    Each node is read as a _read_node row, not as a descriptor."""
     if isinstance(obj, str):
         obj = relaxed_literal(obj)
     if isinstance(obj, list):

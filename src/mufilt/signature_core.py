@@ -9,12 +9,19 @@ p_tau = h - q_tau.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
-from .errors import DegenerateEmbedding, LevelCapExceeded, MufiltError
+from .errors import (
+    DegenerateEmbedding,
+    DigitCapExceeded,
+    LevelCapExceeded,
+    MufiltError,
+)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -79,18 +86,38 @@ def _check_level(n: int) -> None:
 LEVEL_CAP = 4096
 
 
-def _check_level_work(sig: Signature, n: int) -> None:
-    """The one guard on the cost of levels 1..n of a report.
+@cache
+def _decimal_cap_bits(digits: int) -> int:
+    """The most bits an integer may have to be written in at most `digits`
+    decimal digits: b with 2^b <= 10^digits < 2^(b+1)."""
+    return (10**digits).bit_length() - 1
+
+
+def _check_level_work(f: int, p: int, n: int = 1, scale: int = 1) -> None:
+    """The one guard on the size of a report, run before any of its work.
 
     Level m carries denominators p^{(m-1)f} (and p^{mf} - p^{(m-1)f}), so
     the numbers, the time and the output all grow with the bit length of
     p^{(n-1)f}.  That is bounded above by (n - 1) f bitlen(p), which must
-    not exceed LEVEL_CAP; otherwise LevelCapExceeded, before any
-    level is computed.
+    not exceed LEVEL_CAP; otherwise LevelCapExceeded.
+
+    Every integer the report prints lies below scale * p^{nf}, where the
+    caller's scale bounds the factors that are not powers of p (heights,
+    levels, the Hasse inputs), so it has at most n f bitlen(p) +
+    bitlen(scale) bits.  The JSON output writes integers in decimal, which
+    the interpreter refuses past sys.get_int_max_str_digits() digits (0
+    lifts the limit); a report that could need more raises DigitCapExceeded
+    with both sizes in bits.
     """
-    required = (n - 1) * sig.f * sig.p.bit_length()
+    required = (n - 1) * f * p.bit_length()
     if required > LEVEL_CAP:
         raise LevelCapExceeded(LEVEL_CAP, required)
+    digits = sys.get_int_max_str_digits()
+    if digits:
+        cap = _decimal_cap_bits(digits)
+        required = n * f * p.bit_length() + scale.bit_length()
+        if required > cap:
+            raise DigitCapExceeded(cap, required)
 
 
 def _frobenius_weights(p: int, f: int, tau: int) -> tuple[int, ...]:

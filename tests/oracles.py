@@ -9,7 +9,6 @@ mufilt are allowed in this file.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 
 # === scalar constants =======================================================

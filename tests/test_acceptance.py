@@ -16,7 +16,6 @@ import pytest
 import oracles
 from conftest import iter_signatures
 from mufilt import (
-    DegenerateEmbedding,
     LTSModel,
     RaynaudDatum,
     Signature,

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON shapes, determinism, parsing."""
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,22 +12,30 @@ from hypothesis import strategies as st
 import mufilt.cli_reports as cli
 import mufilt.signature_core as sc
 import oracles
+from conftest import iter_signatures
 from mufilt import (
+    DigitCapExceeded,
     InternalNonIntegral,
     LevelCapExceeded,
     MufiltError,
     RaynaudDatum,
+    classical_weighting,
+    enumerate_split_subgroups,
+    hn_from_lattice,
     hodge_polygon,
+    mu_ordinary_product,
     raynaud_degrees,
     raynaud_hodge_tate_coker_degree,
+    tau_weighting,
 )
-from mufilt.cli_reports import build_report_bundle, run_command
+from mufilt.cli_reports import build_report_bundle, hn_result_json, run_command
 from mufilt.group_models import FiniteOModuleDesc, SplitSubgroupDesc
 from mufilt.serialize import (
     _fracs,
     _ints,
     _read_object,
     approx_str,
+    dump_json,
     parse_desc,
     parse_frac,
     parse_int,
@@ -483,6 +492,99 @@ class TestHNCommand:
         assert code == 1 and out == ""
         assert err == "error: p must be prime, got 0\n"
 
+    def test_sig_matches_descriptor_engine_on_grid(self, capsys):
+        # hn --sig selects over integer rows; its stdout is the JSON that
+        # hn_from_lattice gives over enumerate_split_subgroups
+        cases = 0
+        for sig in iter_signatures(3, 4, (2, 3, 5, 7)):
+            literal = "{f:%d,p:%d,h:%d,q:[%s]}" % (
+                sig.f, sig.p, sig.h, ",".join(map(str, sig.q))
+            )
+            for n in (1, 2):
+                nodes = enumerate_split_subgroups(mu_ordinary_product(sig, n))
+                for tau in (None, *range(sig.f)):
+                    argv = ["hn", "--sig", literal, "--n", str(n)]
+                    w = classical_weighting(sig.p, sig.f)
+                    if tau is not None:
+                        argv += ["--mode", "tau", "--tau", str(tau)]
+                        w = tau_weighting(sig.p, sig.f, tau)
+                    expected = dump_json({
+                        "mode": "classical" if tau is None else "tau",
+                        "tau": tau,
+                        "nodes": len(nodes),
+                        "result": hn_result_json(hn_from_lattice(nodes, w)),
+                    })
+                    assert run(capsys, *argv) == (0, expected, "")
+                    cases += 1
+        assert cases == 8688
+
+
+P61 = 2**61 - 1
+
+
+def _sig61(q):
+    return "{f:%d,p:%d,h:2,q:[%s]}" % (len(q), P61, ",".join(map(str, q)))
+
+
+class TestDigitCap:
+    """Reports whose integers could pass the interpreter's limit on decimal
+    digits stop before any work with DigitCapExceeded."""
+
+    CAP = (10 ** sys.get_int_max_str_digits()).bit_length() - 1
+
+    @pytest.mark.parametrize(
+        "argv, required",
+        [
+            (["hn", "--sig", _sig61([1] * 240), "--mode", "tau", "--tau", "0"],
+             240 * 61 + (2 * 240).bit_length()),
+            (["lts", "--model", "{f:250,p:%d,S:[0],tau0:1}" % P61], 250 * 61 + 1),
+            (["polygons", "--sig", _sig61([0, 1] * 125), "--tau", "1"],
+             250 * 61 + (2 * 250).bit_length()),
+        ],
+        ids=["hn", "lts", "polygons"],
+    )
+    def test_typed_error(self, capsys, argv, required):
+        args = cli._build_parser().parse_args(argv)
+        with pytest.raises(DigitCapExceeded) as err:
+            cli._COMMANDS[args.command](args)
+        assert (err.value.cap, err.value.required) == (self.CAP, required)
+        assert self.CAP < required
+        assert run(capsys, *argv) == (1, "", f"error: {err.value}\n")
+
+    def test_guard_runs_before_enumeration(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.gm, "_split_nodes", None)
+        code, out, err = run(
+            capsys, "hn", "--sig", _sig61([1] * 240), "--mode", "tau", "--tau", "0"
+        )
+        assert code == 1 and out == "" and "cap is" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hn", "--sig", _sig61([1] * 230), "--mode", "tau", "--tau", "0"],
+            ["hn", "--sig", _sig61([1] * 240)],
+            ["periods", "--sig", _sig61([0, 1] * 125), "--tau", "1"],
+            ["raynaud", "--datum", "{f:250,p:%d,vdelta:[%s]}" % (P61, ",".join("0" * 250))],
+        ],
+        ids=["hn-tau-230", "hn-classical-240", "periods-250", "raynaud-250"],
+    )
+    def test_smaller_or_unguarded_reports_run(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        json.loads(out)
+
+    def test_cap_follows_interpreter_limit(self, monkeypatch):
+        for digits in (640, 4300, 5000):
+            bits = sc._decimal_cap_bits(digits)
+            assert 2**bits <= 10**digits < 2 ** (bits + 1)
+        # 0 lifts the interpreter's limit, and the guard's with it
+        monkeypatch.setattr(sc.sys, "get_int_max_str_digits", lambda: 0)
+        sc._check_level_work(250, P61)
+        monkeypatch.setattr(sc.sys, "get_int_max_str_digits", lambda: 5000)
+        sc._check_level_work(250, P61)
+        with pytest.raises(DigitCapExceeded):
+            sc._check_level_work(300, P61)
+
 
 class TestRaynaudCommand:
     def test_report_matches_library(self, capsys):
@@ -730,6 +832,23 @@ class TestSerializeHelpers:
                 parse_desc(DESC_CASES[name])
             assert str(got.value) == message
 
+    @pytest.mark.parametrize("name", sorted(DESC_CASES))
+    def test_lattice_rows_match_parse_desc(self, name):
+        # the lattice reader builds rows, not descriptors, with the same
+        # reads and checks: the same values or the same message
+        obj = DESC_CASES[name]
+        try:
+            expected = parse_desc(obj)
+        except MufiltError as exc:
+            with pytest.raises(MufiltError) as got:
+                parse_lattice([obj])
+            assert str(got.value) == str(exc)
+            return
+        (row,), _ = parse_lattice([obj])
+        torsion = getattr(expected, "torsion", None)
+        assert row == (expected.o_height, expected.deg, expected.level, torsion)
+        assert all(type(d) is Fraction for d in row[1])
+
     def test_parse_desc_torsion_gives_split_descriptor(self):
         desc = parse_desc(DESC_CASES["torsion"])
         assert type(desc) is SplitSubgroupDesc and desc.torsion == (1, 0)
@@ -762,7 +881,8 @@ class TestSerializeHelpers:
             '{"nodes": [{"o_height": 1, "deg": ["1/2"], "level": 1}],'
             ' "containment": [[0, 0]]}'
         )
-        assert nodes[0].deg == (F(1, 2),)
+        # nodes are read as rows (o_height, deg, level, torsion or None)
+        assert nodes == [(1, (F(1, 2),), 1, None)]
         assert pairs == [(0, 0)]
         nodes, pairs = parse_lattice(
             '[{"o_height": 0, "deg": [0], "level": 1}]'

@@ -1,6 +1,5 @@
 """Group-scheme descriptors: Raynaud data, split products, enumeration."""
 
-import os
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,6 @@ from mufilt import (
     LTProductGroup,
     MufiltError,
     RaynaudDatum,
-    Signature,
     SplitSubgroupDesc,
     enumerate_split_subgroups,
     mu_ord_canonical_filtration,

@@ -1,6 +1,7 @@
 """HN filtration engine: weightings, greedy selection, certificates."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -233,9 +234,10 @@ class TestFromLattice:
         with pytest.raises(AdditivityViolation, match="^quotient of node 1 by node 3 "):
             hn_from_lattice(nodes, classical_weighting(7, 2), containment=pairs)
 
-    def test_pairs_never_read_torsion(self, ref_sig, monkeypatch):
+    def test_pairs_never_read_torsion(self, ref_sig):
         # with explicit pairs the candidates come from the up-set bits, so
-        # a split lattice never reaches SplitSubgroupDesc.contains
+        # the torsion keys are never read: keys of three lengths, which the
+        # torsion order rejects, leave the selection as it was
         split = enumerate_split_subgroups(mu_ordinary_product(ref_sig, 2))
         pairs = [
             (i, j)
@@ -245,14 +247,14 @@ class TestFromLattice:
         ]
         w = tau_weighting(7, 2, 1)
         expected = hn_from_lattice(split, w)
-
-        def refuse(self, other):
-            raise AssertionError("torsion containment read despite pairs")
-
-        monkeypatch.setattr(SplitSubgroupDesc, "contains", refuse)
-        assert hn_from_lattice(split, w, containment=pairs) == expected
-        with pytest.raises(AssertionError, match="torsion containment"):
-            hn_from_lattice(split, w)
+        garbled = [replace(d, torsion=(0,) * (i % 3)) for i, d in enumerate(split)]
+        got = hn_from_lattice(garbled, w, containment=pairs)
+        assert (got.polygon, got.slopes) == (expected.polygon, expected.slopes)
+        assert got.filtration == tuple(
+            garbled[split.index(d)] for d in expected.filtration
+        )
+        with pytest.raises(MufiltError, match="^torsion keys of different products$"):
+            hn_from_lattice(garbled, w)
 
     def test_out_of_range_pair_rejected(self):
         nodes = [desc(0, (0, 0)), desc(1, (1, 0))]

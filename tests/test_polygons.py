@@ -12,7 +12,6 @@ from mufilt import (
     DomainMismatch,
     MufiltError,
     Polygon,
-    Signature,
     hn_mu_ordinary_tau,
     hodge_polygon,
     renormalize,
