@@ -25,19 +25,14 @@ from .errors import InternalInvariantBreach, MufiltError
 from .serialize import (
     _fracs,
     _ints,
+    _node_desc,
     _read_object,
-    desc_json,
     dump_json,
-    frac_json,
-    monomial_json,
     parse_frac,
-    parse_desc,
     parse_int,
     parse_lattice,
     parse_signature,
-    polygon_json,
     relaxed_literal,
-    signature_json,
 )
 from .svg import render_polygons
 
@@ -61,7 +56,7 @@ def hasse_values(sig: sc.Signature, raw: str | None) -> tuple[str, tuple[Fractio
     return "scalar", (v,) * sig.f
 
 
-def _threshold_entries(sig, taus, n, human):
+def _threshold_entries(sig, taus, n):
     out = []
     for t in taus:
         if sig.is_degenerate(t):
@@ -72,24 +67,24 @@ def _threshold_entries(sig, taus, n, human):
                 {
                     "tau": t,
                     "n": m,
-                    "value": frac_json(sc.hasse_threshold(sig, t, m), human),
-                    "h3": frac_json(sc.threshold_h3(sig, t, m), human),
+                    "value": sc.hasse_threshold(sig, t, m),
+                    "h3": sc.threshold_h3(sig, t, m),
                 }
             )
-        out[-1]["h1"] = frac_json(sc.threshold_h1(sig, t), human)
-        out[-1]["existence"] = frac_json(sc.threshold_existence(sig, t), human)
+        out[-1]["h1"] = sc.threshold_h1(sig, t)
+        out[-1]["existence"] = sc.threshold_existence(sig, t)
     return out
 
 
-def _certificates(sig, n, human):
+def _certificates(sig, n):
     steps = gm.mu_ord_canonical_filtration(sig, n)
     crans = []
     for members, desc in steps:
         rep = members[0]
         entry = {
-            "tau_class": list(members),
+            "tau_class": members,
             "o_height": desc.o_height,
-            "deg": [frac_json(d, human) for d in desc.deg],
+            "deg": desc.deg,
         }
         for mode_name, w in (
             ("classical", hn.classical_weighting(sig.p, sig.f)),
@@ -99,9 +94,9 @@ def _certificates(sig, n, human):
             entry[mode_name] = {
                 "break": cert.break_ok,
                 "cran": cert.cran_ok,
-                "weighted_degree": frac_json(cert.weighted_degree, human),
-                "break_bound": frac_json(cert.break_bound, human),
-                "cran_bound": frac_json(cert.cran_bound, human),
+                "weighted_degree": cert.weighted_degree,
+                "break_bound": cert.break_bound,
+                "cran_bound": cert.cran_bound,
             }
         crans.append(entry)
     nested = []
@@ -126,14 +121,11 @@ def _certificates(sig, n, human):
     return {"crans": crans, "bijakowski": nested}
 
 
-def _polygons_json(sig, taus, human):
+def _polygons(sig, taus):
     return {
-        "hodge": polygon_json(pg.hodge_polygon(sig), human),
-        "reversed_hodge": polygon_json(pg.reversed_hodge(sig), human),
-        "hn_tau": [
-            {"tau": t, "polygon": polygon_json(pg.hn_mu_ordinary_tau(sig, t), human)}
-            for t in taus
-        ],
+        "hodge": pg.hodge_polygon(sig),
+        "reversed_hodge": pg.reversed_hodge(sig),
+        "hn_tau": [{"tau": t, "polygon": pg.hn_mu_ordinary_tau(sig, t)} for t in taus],
     }
 
 
@@ -143,7 +135,6 @@ def build_report_bundle(
     ha_vals: tuple[Fraction, ...],
     n: int,
     tau: int | None = None,
-    human: bool = False,
 ) -> dict:
     sc._check_level(n)
     # heights, levels and the Hasse inputs multiply the powers of p
@@ -153,13 +144,13 @@ def build_report_bundle(
     ok, diags = sc.prime_admissible(sig)
     taus = list(range(sig.f)) if tau is None else [sig.check_embedding(tau)]
     bundle = {
-        "signature": signature_json(sig),
+        "signature": sig,
         "constants": {
-            "k": list(consts.k),
-            "K": [frac_json(x, human) for x in consts.K],
-            "r": list(consts.r),
-            "n_class": list(consts.n),
-            "k_dual": list(consts.k_dual),
+            "k": consts.k,
+            "K": consts.K,
+            "r": consts.r,
+            "n_class": consts.n,
+            "k_dual": consts.k_dual,
         },
         "prime_admissible": {"ok": ok, "diagnostics": diags},
         "mu_ordinary_factors": [
@@ -168,20 +159,15 @@ def build_report_bundle(
         ],
         "hasse_input": {
             "kind": ha_kind,
-            "values": [frac_json(v, human) for v in ha_vals],
-            "mu_ha": frac_json(
-                sum(ha_vals, Fraction(0))
-                if ha_kind == "map"
-                else ha_vals[0],
-                human,
-            ),
+            "values": ha_vals,
+            "mu_ha": sum(ha_vals, Fraction(0)) if ha_kind == "map" else ha_vals[0],
         },
-        "thresholds": _threshold_entries(sig, taus, n, human),
-        "polygons": _polygons_json(sig, taus, human),
+        "thresholds": _threshold_entries(sig, taus, n),
+        "polygons": _polygons(sig, taus),
         "towers": [],
         "ptorsion": [],
         "duality": [],
-        "certificates": _certificates(sig, n, human),
+        "certificates": _certificates(sig, n),
     }
     for t in taus:
         ha_t = ha_vals[t]
@@ -189,16 +175,14 @@ def build_report_bundle(
         bundle["towers"].append(
             {
                 "tau": t,
-                "ha": frac_json(ha_t, human),
+                "ha": ha_t,
                 "levels": [
                     {
                         "level": lv.level,
-                        "deg_dual_tau": frac_json(lv.deg_dual_tau, human),
-                        "ha_quotient": frac_json(lv.ha_quotient, human),
-                        "deg_lower_bound": frac_json(lv.deg_lower_bound, human),
-                        "classical_lower_bound": frac_json(
-                            lv.classical_lower_bound, human
-                        ),
+                        "deg_dual_tau": lv.deg_dual_tau,
+                        "ha_quotient": lv.ha_quotient,
+                        "deg_lower_bound": lv.deg_lower_bound,
+                        "classical_lower_bound": lv.classical_lower_bound,
                         "hypotheses": dict(lv.hypotheses),
                     }
                     for lv in report.levels
@@ -213,14 +197,12 @@ def build_report_bundle(
         bundle["ptorsion"].append(
             {
                 "tau": t,
-                "deg_identity_rhs": frac_json(rep.deg_identity_rhs, human),
-                "coker_degree": frac_json(rep.coker_degree, human),
-                "eps_tau": frac_json(rep.eps_tau, human),
-                "slot_lower_bounds": [
-                    frac_json(b, human) for b in rep.slot_lower_bounds
-                ],
-                "dual_deg_upper_bound": frac_json(rep.dual_deg_upper_bound, human),
-                "classical_lower_bound": frac_json(rep.classical_lower_bound, human),
+                "deg_identity_rhs": rep.deg_identity_rhs,
+                "coker_degree": rep.coker_degree,
+                "eps_tau": rep.eps_tau,
+                "slot_lower_bounds": rep.slot_lower_bounds,
+                "dual_deg_upper_bound": rep.dual_deg_upper_bound,
+                "classical_lower_bound": rep.classical_lower_bound,
                 "h1_ok": rep.h1_ok,
             }
         )
@@ -229,24 +211,14 @@ def build_report_bundle(
             bundle["duality"].append(
                 {
                     "tau": t,
-                    "chain": [frac_json(x, human) for x in dual.chain],
-                    "perp_deg_lower_bound": frac_json(
-                        dual.perp_deg_lower_bound, human
-                    ),
+                    "chain": dual.chain,
+                    "perp_deg_lower_bound": dual.perp_deg_lower_bound,
                     "consistent": dual.consistent,
                 }
             )
         except MufiltError as exc:
             bundle["duality"].append({"tau": t, "skipped": str(exc)})
     return bundle
-
-
-def hn_result_json(result: hn.HNResult, human: bool = False) -> dict:
-    return {
-        "polygon": polygon_json(result.polygon, human),
-        "filtration": [desc_json(d, human) for d in result.filtration],
-        "slopes": [frac_json(s, human) for s in result.slopes],
-    }
 
 
 # === verification suites ====================================================
@@ -559,10 +531,8 @@ def _build_parser() -> _Parser:
 def _cmd_analyze(args) -> int:
     sig = parse_signature(args.sig)
     kind, vals = hasse_values(sig, args.ha)
-    bundle = build_report_bundle(
-        sig, kind, vals, args.n, tau=args.tau, human=args.human
-    )
-    sys.stdout.write(dump_json(bundle))
+    bundle = build_report_bundle(sig, kind, vals, args.n, tau=args.tau)
+    sys.stdout.write(dump_json(bundle, args.human))
     return 0
 
 
@@ -571,9 +541,9 @@ def _cmd_polygons(args) -> int:
     sc._check_level_work(sig.f, sig.p, 1, sig.h * sig.f)
     taus = list(range(sig.f)) if args.tau is None else [sig.check_embedding(args.tau)]
     if not args.svg:
-        out = _polygons_json(sig, taus, args.human)
-        out["signature"] = signature_json(sig)
-        sys.stdout.write(dump_json(out))
+        out = _polygons(sig, taus)
+        out["signature"] = sig
+        sys.stdout.write(dump_json(out, args.human))
         return 0
     items = [
         (pg.hodge_polygon(sig), "hodge"),
@@ -629,8 +599,7 @@ def _cmd_hn(args) -> int:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise MufiltError(f"cannot read lattice file {args.lattice!r}: {exc}")
-        data = relaxed_literal(text)
-        rows, pairs = parse_lattice(data)
+        rows, pairs = parse_lattice(text)
         if not rows:
             raise MufiltError("lattice file holds no nodes")
         f = len(rows[0][1])
@@ -650,19 +619,12 @@ def _cmd_hn(args) -> int:
         if args.mode == "tau":
             top = max(max(row, default=0) for row in degs)
             sc._check_level_work(f, p, 1, L * f * max(ht) * top)
-        # the filtration's nodes are read again, as descriptors
-        raw = data if isinstance(data, list) else data["nodes"]
         result = hn._hn_select(
-            ht, degs, L, w, lambda i: parse_desc(raw[i]),
+            ht, degs, L, w, lambda i: _node_desc(rows[i]),
             None if None in keys else keys, pairs,
         )
-    out = {
-        "mode": args.mode,
-        "tau": args.tau,
-        "nodes": len(rows),
-        "result": hn_result_json(result, args.human),
-    }
-    sys.stdout.write(dump_json(out))
+    out = {"mode": args.mode, "tau": args.tau, "nodes": len(rows), "result": result}
+    sys.stdout.write(dump_json(out, args.human))
     return 0
 
 
@@ -671,21 +633,14 @@ def _cmd_raynaud(args) -> int:
     d = gm.RaynaudDatum(**_read_object(args.datum, "datum", fields))
     desc = gm.raynaud_degrees(d)
     out = {
-        "datum": {
-            "f": d.f,
-            "p": d.p,
-            "vdelta": [frac_json(v, args.human) for v in d.vdelta],
-        },
-        "degrees": desc_json(desc, args.human),
+        "datum": {"f": d.f, "p": d.p, "vdelta": d.vdelta},
+        "degrees": desc,
         "hodge_tate_coker": [
-            frac_json(gm.raynaud_hodge_tate_coker_degree(d, t), args.human)
-            for t in range(d.f)
+            gm.raynaud_hodge_tate_coker_degree(d, t) for t in range(d.f)
         ],
-        "dual_vdelta": [
-            frac_json(v, args.human) for v in gm.raynaud_dual(d).vdelta
-        ],
+        "dual_vdelta": gm.raynaud_dual(d).vdelta,
     }
-    sys.stdout.write(dump_json(out))
+    sys.stdout.write(dump_json(out, args.human))
     return 0
 
 
@@ -703,24 +658,22 @@ def _cmd_periods(args) -> int:
         entries.append(
             {
                 "tau": t,
-                "coeffs": [monomial_json(c) for c in m.coeffs.entries],
-                "K_value": frac_json(m.K_value, args.human),
+                "coeffs": m.coeffs.entries,
+                "K_value": m.K_value,
                 "transport_ok": m.transport_ok,
-                "d_matrix": list(pc.d_matrix(sig, t)),
-                "faltings_margin": frac_json(margin.value, args.human),
+                "d_matrix": pc.d_matrix(sig, t),
+                "faltings_margin": margin.value,
                 "margin_ok": margin.margin_ok,
-                "mod_fil1_valuation": frac_json(K[t], args.human),
-                "mod_p_filp_valuation": frac_json(
-                    pc.mod_p_filp_valuation(sig, t), args.human
-                ),
+                "mod_fil1_valuation": K[t],
+                "mod_p_filp_valuation": pc.mod_p_filp_valuation(sig, t),
             }
         )
     out = {
-        "signature": signature_json(sig),
+        "signature": sig,
         "t_decomposition_ok": pc.t_decomposition_check(sig.f, sig.p),
         "maps": entries,
     }
-    sys.stdout.write(dump_json(out))
+    sys.stdout.write(dump_json(out, args.human))
     return 0
 
 
@@ -730,7 +683,7 @@ def _cmd_lts(args) -> int:
     sc._check_level_work(model.f, model.p)
     gen = lt.tate_generator(model)
     check = lt.verify_phi_eq_p(model)
-    exponents = list(lt.frobenius_matrix(model))
+    exponents = lt.frobenius_matrix(model)
     out = {
         "model": {
             "f": model.f,
@@ -739,16 +692,14 @@ def _cmd_lts(args) -> int:
             "tau0": model.tau0,
         },
         "frobenius_exponents": exponents,
-        "generator": [monomial_json(g) for g in gen.entries],
-        "generator_valuation": frac_json(
-            lt.generator_valuation(model), args.human
-        ),
+        "generator": gen.entries,
+        "generator_valuation": lt.generator_valuation(model),
         "eigen_ok": check.eigen_ok,
         "fil_pattern_ok": check.fil_pattern_ok,
         "solution_count_mod_p": lt.solution_count_mod_p(model),
         "d_s_exponents": exponents,
     }
-    sys.stdout.write(dump_json(out))
+    sys.stdout.write(dump_json(out, args.human))
     return 0
 
 

@@ -85,44 +85,47 @@ class Polygon:
 
 
 def hodge_polygon(sig: Signature) -> Polygon:
-    """Convex polygon on [0, h] whose slope on [i, i+1] is #{q_tau <= i}/f."""
-    pts: list[Point] = [(Fraction(0), Fraction(0))]
-    y = Fraction(0)
-    for i in range(sig.h):
-        y += Fraction(sum(1 for qt in sig.q if qt <= i), sig.f)
-        pts.append((Fraction(i + 1), y))
-    return Polygon(tuple(pts), "convex")
+    """Convex polygon on [0, h] whose slope on [i, i+1] is #{q_tau <= i}/f.
+
+    H(x) = (1/f) * sum over tau of max(0, x - q_tau), evaluated at 0, the
+    distinct q-values, and h.
+    """
+    xs = sorted({0, sig.h, *sig.q})
+    return Polygon(
+        tuple((Fraction(x), Fraction(sum(max(0, x - qt) for qt in sig.q), sig.f)) for x in xs),
+        "convex",
+    )
+
+
+def _min_profile(sig: Signature, weights) -> Polygon:
+    """Concave polygon (1/f) * sum over tau of weights[tau] * min(x, p_tau),
+    evaluated at 0, the distinct p-values, and h: the only places it can
+    break."""
+    pv = sig.p_values
+    return Polygon(
+        tuple(
+            (Fraction(x), Fraction(sum(c * min(x, pt) for c, pt in zip(weights, pv)), sig.f))
+            for x in sorted({0, sig.h, *pv})
+        ),
+        "concave",
+    )
 
 
 def reversed_hodge(sig: Signature) -> Polygon:
-    """Concave polygon on [0, h]: slope on [b-1, b] is #{p_tau >= b}/f.
+    """Concave polygon on [0, h]: slope on [b-1, b] is #{p_tau >= b}/f, so
+    R(x) = (1/f) * sum over tau of min(x, p_tau).
 
     Endpoint ordinate is the average degree (sum of p_tau)/f.
     """
-    pv = sig.p_values
-    pts: list[Point] = [(Fraction(0), Fraction(0))]
-    y = Fraction(0)
-    for b in range(1, sig.h + 1):
-        y += Fraction(sum(1 for pt in pv if pt >= b), sig.f)
-        pts.append((Fraction(b), y))
-    return Polygon(tuple(pts), "concave")
+    return _min_profile(sig, (1,) * sig.f)
 
 
 def hn_mu_ordinary_tau(sig: Signature, tau: int) -> Polygon:
-    """Concave polygon of the tau-weighted mu-ordinary profile.
-
-    V(x) = (1/f) * sum over i = 1..f of p^{f-i} * min(x, p_{sigma^i tau}),
-    evaluated at 0, the distinct p-values, and h.
+    """Concave polygon of the tau-weighted mu-ordinary profile:
+    V(x) = (1/f) * sum over i = 1..f of p^{f-i} * min(x, p_{sigma^i tau}).
     """
     sig.check_embedding(tau)
-    pv = sig.p_values
-    xs = sorted({0, sig.h} | set(pv))
-    weights = _frobenius_weights(sig.p, sig.f, tau)
-
-    def V(x: int) -> Fraction:
-        return Fraction(sum(c * min(x, pu) for c, pu in zip(weights, pv)), sig.f)
-
-    return Polygon(tuple((Fraction(x), V(x)) for x in xs), "concave")
+    return _min_profile(sig, _frobenius_weights(sig.p, sig.f, tau))
 
 
 def renormalize(poly: Polygon, n: int) -> Polygon:

@@ -1,41 +1,39 @@
-"""JSON encoding and relaxed literal parsing.
+"""JSON rendering and relaxed literal parsing.
 
-Machine output renders every rational as an exact [numerator, denominator]
-pair; human mode appends a decimal approximation string prefixed with "~".
-Input literals may be strict JSON, which is read as it stands, or use bare
-keys and a/b fractions, which are quoted into strict JSON before parsing.
+dump_json is the one renderer: report builders put library values
+(Fraction, Polygon, descriptors, PeriodMonomial, Signature, HNResult) in
+the output tree, and dump_json writes every rational as an exact
+[numerator, denominator] pair; human mode appends a decimal approximation
+string prefixed with "~".  Input literals may be strict JSON, which is read
+as it stands, or use bare keys and a/b fractions, which are quoted into
+strict JSON before parsing.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
-from .errors import MufiltError
+from .errors import DigitCapExceeded, MufiltError
 from .group_models import FiniteOModuleDesc, SplitSubgroupDesc, _check_desc
+from .hn_engine import HNResult
+from .period_calculus import PeriodMonomial
 from .polygons import Polygon
-from .signature_core import Signature
+from .signature_core import Signature, _decimal_cap_bits
 
 
 def approx_str(x: Fraction, places: int = 6) -> str:
     """Decimal approximation truncated to `places` digits, trailing zeros
     dropped, marked with "~"."""
-    x = Fraction(x)
-    sign = "-" if x < 0 else ""
-    n, d = abs(x.numerator), x.denominator
-    whole, rem = divmod(n, d)
+    n, d = x.as_integer_ratio()
+    sign = "-" if n < 0 else ""
+    whole, rem = divmod(abs(n), d)
     frac_part = f"{rem * 10**places // d:0{places}d}".rstrip("0")
     if not frac_part:
         return f"~{sign}{whole}"
     return f"~{sign}{whole}.{frac_part}"
-
-
-def frac_json(x, human: bool = False):
-    x = Fraction(x)
-    if human:
-        return [x.numerator, x.denominator, approx_str(x)]
-    return [x.numerator, x.denominator]
 
 
 # Lattice degrees are mostly small integers.  A Fraction is immutable, so
@@ -109,6 +107,21 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
+def _loads(text: str):
+    """json.loads with repeated keys rejected.  Past the interpreter's limit
+    on decimal digits json.loads raises a plain ValueError for an integer
+    literal; that becomes a MufiltError, and a JSONDecodeError passes."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise MufiltError(
+            "literal holds an integer of more than"
+            f" {sys.get_int_max_str_digits()} decimal digits"
+        ) from None
+
+
 def relaxed_literal(text: str):
     """Parse a compact literal like {f:2,p:7,h:3,q:[1,2]} into JSON data.
 
@@ -118,13 +131,13 @@ def relaxed_literal(text: str):
     path, where json.loads alone would keep the last value.
     """
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return _loads(text)
     except json.JSONDecodeError:
         pass
     quoted = _BARE_KEY.sub(r'\1"\2":', text.strip())
     quoted = _BARE_FRAC.sub(r'"\1/\2"', quoted)
     try:
-        return json.loads(quoted, object_pairs_hook=_unique_keys)
+        return _loads(quoted)
     except json.JSONDecodeError as exc:
         raise MufiltError(f"cannot parse literal {text!r}: {exc}")
 
@@ -164,37 +177,6 @@ def parse_signature(obj) -> Signature:
     return Signature(**_read_object(obj, "signature literal", fields))
 
 
-def signature_json(sig: Signature) -> dict:
-    return {"f": sig.f, "p": sig.p, "h": sig.h, "q": list(sig.q)}
-
-
-def polygon_json(poly: Polygon, human: bool = False) -> dict:
-    pts = []
-    for x, y in poly.points:
-        entry = [x.numerator, x.denominator, y.numerator, y.denominator]
-        if human:
-            entry.append(approx_str(x))
-            entry.append(approx_str(y))
-        pts.append(entry)
-    return {"convexity": poly.convexity, "points": pts}
-
-
-def monomial_json(m, human: bool = False) -> dict:
-    out = {"a": m.a, "b": list(m.b), "c": m.c, "text": m.text()}
-    return out
-
-
-def desc_json(desc: FiniteOModuleDesc, human: bool = False) -> dict:
-    out = {
-        "o_height": desc.o_height,
-        "deg": [frac_json(d, human) for d in desc.deg],
-        "level": desc.level,
-    }
-    if isinstance(desc, SplitSubgroupDesc):
-        out["torsion"] = list(desc.torsion)
-    return out
-
-
 _DESC_KEYS = frozenset(("o_height", "deg", "level"))
 _SPLIT_KEYS = _DESC_KEYS | {"torsion"}
 
@@ -221,9 +203,9 @@ def _read_node(obj) -> tuple[int, tuple[Fraction, ...], int, tuple[int, ...] | N
     return o_height, deg, level, torsion
 
 
-def parse_desc(obj) -> FiniteOModuleDesc:
-    """Read one descriptor with _read_node: split when it has torsion."""
-    o_height, deg, level, torsion = _read_node(obj)
+def _node_desc(row) -> FiniteOModuleDesc:
+    """The descriptor of a _read_node row: split when it has torsion."""
+    o_height, deg, level, torsion = row
     if torsion is None:
         return FiniteOModuleDesc(o_height, deg, level)
     return SplitSubgroupDesc(o_height, deg, level, torsion)
@@ -262,5 +244,51 @@ def parse_lattice(obj) -> tuple[list, list | None]:
     return data["nodes"], data.get("containment")
 
 
-def dump_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+def dump_json(data, human: bool = False) -> str:
+    """The one renderer: data as JSON with sorted keys and an indent of 2.
+
+    The library types in data reach json.dumps's default hook, encode,
+    which has one branch per type.  A Fraction is [num, den], plus
+    approx_str in human mode, so human output only appends "~" strings to
+    the machine output.  A numerator or
+    denominator that the interpreter cannot write in decimal raises
+    DigitCapExceeded, with both sizes in bits; a limit of 0 lifts it.
+    """
+    digits = sys.get_int_max_str_digits()
+    cap = _decimal_cap_bits(digits) if digits else 0
+
+    def encode(o):
+        if type(o) is Fraction:
+            num, den = o.as_integer_ratio()
+            if cap and (num.bit_length() > cap or den.bit_length() > cap):
+                raise DigitCapExceeded(cap, max(num.bit_length(), den.bit_length()))
+            return [num, den, approx_str(o)] if human else [num, den]
+        # nested values are rendered here rather than handed back: each value
+        # default() returns costs the pure-Python encoder (indent=2) one more
+        # generator level for everything inside it
+        if type(o) is Polygon:
+            points = []
+            for x, y in o.points:
+                ex, ey = encode(x), encode(y)
+                # [xn, xd, yn, yd], then the two "~" strings in human mode
+                points.append(ex[:2] + ey[:2] + ex[2:] + ey[2:])
+            return {"convexity": o.convexity, "points": points}
+        if isinstance(o, FiniteOModuleDesc):
+            out = {"o_height": o.o_height, "deg": [encode(x) for x in o.deg], "level": o.level}
+            if isinstance(o, SplitSubgroupDesc):
+                out["torsion"] = o.torsion
+            return out
+        if type(o) is PeriodMonomial:
+            return {"a": o.a, "b": o.b, "c": o.c, "text": o.text()}
+        if type(o) is Signature:
+            return {"f": o.f, "p": o.p, "h": o.h, "q": o.q}
+        if type(o) is HNResult:
+            return {
+                "polygon": encode(o.polygon),
+                "filtration": [encode(d) for d in o.filtration],
+                "slopes": [encode(s) for s in o.slopes],
+            }
+        raise TypeError(f"cannot render {type(o).__name__}")
+
+    # report trees hold no cycles; the check would cost a dict entry per container
+    return json.dumps(data, sort_keys=True, indent=2, check_circular=False, default=encode) + "\n"

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from mufilt import (
     InternalNonIntegral,
     LevelCapExceeded,
     MufiltError,
+    Polygon,
     RaynaudDatum,
     classical_weighting,
     enumerate_split_subgroups,
@@ -28,15 +30,16 @@ from mufilt import (
     raynaud_hodge_tate_coker_degree,
     tau_weighting,
 )
-from mufilt.cli_reports import build_report_bundle, hn_result_json, run_command
+from mufilt.cli_reports import build_report_bundle, run_command
 from mufilt.group_models import FiniteOModuleDesc, SplitSubgroupDesc
 from mufilt.serialize import (
     _fracs,
     _ints,
+    _node_desc,
+    _read_node,
     _read_object,
     approx_str,
     dump_json,
-    parse_desc,
     parse_frac,
     parse_int,
     parse_lattice,
@@ -104,6 +107,23 @@ class TestInputErrors:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "{f:1,p:7,h:%s,q:[1]}" % ("1" * 4400),
+            '{"f": 1, "p": 7, "h": %s, "q": [1]}' % ("1" * 4400),
+        ],
+        ids=["relaxed", "strict"],
+    )
+    def test_over_long_integer_literal(self, capsys, literal):
+        # json.loads raises a plain ValueError past the digit limit
+        code, out, err = run(capsys, "periods", "--sig", literal)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: literal holds an integer of more than"
+            f" {sys.get_int_max_str_digits()} decimal digits\n"
+        )
 
     def test_missing_lattice_file(self, capsys, tmp_path):
         path = str(tmp_path / "missing.json")
@@ -396,6 +416,22 @@ class TestPolygonsCommand:
         _, stdout_doc, _ = run(capsys, "polygons", "--sig", SIG, "--svg", "-")
         assert target.read_text(encoding="utf-8") == stdout_doc
 
+    @pytest.mark.parametrize("command", ["polygons", "analyze"])
+    def test_large_height_runs_fast(self, capsys, command):
+        # the Hodge polygons take no loop over h
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--sig", "{f:1,p:2,h:1000000,q:[1]}")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        polygons = data["polygons"] if command == "analyze" else data
+        assert polygons["hodge"]["points"] == [
+            [0, 1, 0, 1], [1, 1, 0, 1], [10**6, 1, 10**6 - 1, 1]
+        ]
+        assert polygons["reversed_hodge"]["points"] == [
+            [0, 1, 0, 1], [10**6 - 1, 1, 10**6 - 1, 1], [10**6, 1, 10**6 - 1, 1]
+        ]
+
     def test_bad_tau(self, capsys):
         code, _, err = run(capsys, "polygons", "--sig", SIG, "--tau", "7")
         assert code == 1 and err.startswith("error:")
@@ -512,7 +548,7 @@ class TestHNCommand:
                         "mode": "classical" if tau is None else "tau",
                         "tau": tau,
                         "nodes": len(nodes),
-                        "result": hn_result_json(hn_from_lattice(nodes, w)),
+                        "result": hn_from_lattice(nodes, w),
                     })
                     assert run(capsys, *argv) == (0, expected, "")
                     cases += 1
@@ -528,7 +564,9 @@ def _sig61(q):
 
 class TestDigitCap:
     """Reports whose integers could pass the interpreter's limit on decimal
-    digits stop before any work with DigitCapExceeded."""
+    digits stop before any work with DigitCapExceeded; raynaud and periods,
+    whose reduced values no (f, p) bound predicts, stop when dump_json meets
+    such an integer."""
 
     CAP = (10 ** sys.get_int_max_str_digits()).bit_length() - 1
 
@@ -550,6 +588,39 @@ class TestDigitCap:
         assert (err.value.cap, err.value.required) == (self.CAP, required)
         assert self.CAP < required
         assert run(capsys, *argv) == (1, "", f"error: {err.value}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["raynaud", "--datum",
+             "{f:250,p:%d,vdelta:[1/2%s]}" % (P61, ",0" * 249)],
+            ["periods", "--sig",
+             "{f:250,p:%d,h:3,q:[%s]}" % (P61, ",".join(str(i % 3) for i in range(250))),
+             "--tau", "1"],
+        ],
+        ids=["raynaud", "periods"],
+    )
+    def test_typed_error_at_render(self, capsys, argv):
+        args = cli._build_parser().parse_args(argv)
+        with pytest.raises(DigitCapExceeded) as err:
+            cli._COMMANDS[args.command](args)
+        assert err.value.cap == self.CAP < err.value.required
+        assert run(capsys, *argv) == (1, "", f"error: {err.value}\n")
+
+    def test_render_check_reads_every_rational(self):
+        big = F(1, 2**self.CAP)  # a denominator of CAP + 1 bits
+        for data in ({"x": [F(1, 3), big]}, Polygon(((F(0), F(0)), (F(1), big)), "convex")):
+            with pytest.raises(DigitCapExceeded) as err:
+                dump_json(data, human=True)
+            assert (err.value.cap, err.value.required) == (self.CAP, self.CAP + 1)
+        assert json.loads(dump_json(F(2**self.CAP - 1, 2))) == [2**self.CAP - 1, 2]
+        # 0 lifts the interpreter's limit, and the check with it
+        digits = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            assert json.loads(dump_json(big)) == [1, 2**self.CAP]
+        finally:
+            sys.set_int_max_str_digits(digits)
 
     def test_guard_runs_before_enumeration(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.gm, "_split_nodes", None)
@@ -678,9 +749,14 @@ class TestVerifyCommand:
         assert data["false_positives"] == []
 
 
+def _parse_desc(obj):
+    """One descriptor literal, read as hn --lattice reads a node."""
+    return _node_desc(_read_node(obj))
+
+
 def _parse_desc_per_field(obj):
     """A descriptor read field by field through _read_object, one reader
-    per key: the reference for parse_desc's one-pass reader."""
+    per key: the reference for _parse_desc's one-pass reader."""
     fields = {"o_height": parse_int, "deg": _fracs, "level": parse_int}
     data = _read_object(obj, "descriptor", fields, {"torsion": _ints})
     if "torsion" in data:
@@ -694,7 +770,7 @@ def _node(**changes):
     return {key: value for key, value in node.items() if value is not ...}
 
 
-# Descriptor inputs, accepted and rejected, on which parse_desc must agree
+# Descriptor inputs, accepted and rejected, on which _parse_desc must agree
 # with _parse_desc_per_field (value or message).
 DESC_CASES = {
     "deg-forms": _node(o_height=4, deg=[2, "1/2", [3, 4], "0.25"]),
@@ -792,7 +868,7 @@ class TestSerializeHelpers:
             relaxed_literal("{f:2,p:")
 
     def test_parse_desc_degrees_are_fractions(self):
-        desc = parse_desc({"o_height": 3, "deg": [2, "1/2", [3, 4]], "level": 1})
+        desc = _parse_desc({"o_height": 3, "deg": [2, "1/2", [3, 4]], "level": 1})
         assert desc.deg == (F(2), F(1, 2), F(3, 4))
         assert all(type(d) is Fraction for d in desc.deg)
 
@@ -803,10 +879,10 @@ class TestSerializeHelpers:
             expected = _parse_desc_per_field(obj)
         except MufiltError as exc:
             with pytest.raises(MufiltError) as got:
-                parse_desc(obj)
+                _parse_desc(obj)
             assert str(got.value) == str(exc)
             return
-        got = parse_desc(obj)
+        got = _parse_desc(obj)
         assert got == expected and type(got) is type(expected)
 
     @pytest.mark.parametrize(
@@ -826,10 +902,10 @@ class TestSerializeHelpers:
     def test_parse_desc_outcomes(self, name, message):
         # the per-field comparison above is relative; these pin the outcomes
         if message is None:
-            parse_desc(DESC_CASES[name])
+            _parse_desc(DESC_CASES[name])
         else:
             with pytest.raises(MufiltError) as got:
-                parse_desc(DESC_CASES[name])
+                _parse_desc(DESC_CASES[name])
             assert str(got.value) == message
 
     @pytest.mark.parametrize("name", sorted(DESC_CASES))
@@ -838,7 +914,7 @@ class TestSerializeHelpers:
         # reads and checks: the same values or the same message
         obj = DESC_CASES[name]
         try:
-            expected = parse_desc(obj)
+            expected = _parse_desc(obj)
         except MufiltError as exc:
             with pytest.raises(MufiltError) as got:
                 parse_lattice([obj])
@@ -850,9 +926,9 @@ class TestSerializeHelpers:
         assert all(type(d) is Fraction for d in row[1])
 
     def test_parse_desc_torsion_gives_split_descriptor(self):
-        desc = parse_desc(DESC_CASES["torsion"])
+        desc = _parse_desc(DESC_CASES["torsion"])
         assert type(desc) is SplitSubgroupDesc and desc.torsion == (1, 0)
-        assert type(parse_desc(DESC_CASES["deg-forms"])) is FiniteOModuleDesc
+        assert type(_parse_desc(DESC_CASES["deg-forms"])) is FiniteOModuleDesc
 
     @pytest.mark.parametrize(
         "pair, message",

@@ -5,6 +5,7 @@ CASES, captured before the threshold, guard and verify-suite code was
 merged into single definitions; the lattice input lives next to them.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,31 @@ def test_stdout_matches_golden(name, capsys):
     assert run_command(list(CASES[name])) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def _drop_approximations(data):
+    """data without the "~" strings that human mode appends."""
+    if isinstance(data, list):
+        return [
+            _drop_approximations(x)
+            for x in data
+            if not (isinstance(x, str) and x.startswith("~"))
+        ]
+    if isinstance(data, dict):
+        return {key: _drop_approximations(value) for key, value in data.items()}
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if "--human" in CASES[n]))
+def test_human_mode_only_appends(name, capsys):
+    """dump_json renders every value once: human output less its "~"
+    strings is the machine output of the same argv."""
+    argv = CASES[name]
+    assert run_command(list(argv)) == 0
+    human = json.loads(capsys.readouterr().out)
+    assert run_command([a for a in argv if a != "--human"]) == 0
+    machine = capsys.readouterr().out
+    assert json.dumps(_drop_approximations(human), sort_keys=True, indent=2) + "\n" == machine
 
 
 # argv that fail while parsing or while running, between the reuse passes
