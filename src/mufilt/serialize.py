@@ -2,19 +2,22 @@
 
 dump_json is the one renderer: report builders put library values
 (Fraction, Polygon, descriptors, PeriodMonomial, Signature, HNResult) in
-the output tree, and dump_json writes every rational as an exact
-[numerator, denominator] pair; human mode appends a decimal approximation
-string prefixed with "~".  Input literals may be strict JSON, which is read
-as it stands, or use bare keys and a/b fractions, which are quoted into
+the output tree, and dump_json writes the tree in one recursive pass
+through a closed type table, every rational as an exact [numerator,
+denominator] pair; human mode appends a decimal approximation string
+prefixed with "~".  Input literals may be strict JSON, which is read as
+it stands, or use bare keys and a/b fractions, which are quoted into
 strict JSON before parsing.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DigitCapExceeded, MufiltError
 from .group_models import FiniteOModuleDesc, SplitSubgroupDesc, _check_desc
@@ -245,50 +248,123 @@ def parse_lattice(obj) -> tuple[list, list | None]:
 
 
 def dump_json(data, human: bool = False) -> str:
-    """The one renderer: data as JSON with sorted keys and an indent of 2.
+    """The one renderer: data as JSON with sorted keys, an indent of 2 and
+    ASCII escapes, the bytes the json module writes with those settings,
+    written by one recursive pass into one buffer.
 
-    The library types in data reach json.dumps's default hook, encode,
-    which has one branch per type.  A Fraction is [num, den], plus
-    approx_str in human mode, so human output only appends "~" strings to
-    the machine output.  A numerator or
-    denominator that the interpreter cannot write in decimal raises
-    DigitCapExceeded, with both sizes in bits; a limit of 0 lifts it.
+    The type table is closed: str, int, bool, None, list and tuple, dict
+    with str keys, and the library types Fraction, Polygon, descriptors,
+    PeriodMonomial, Signature and HNResult.  Anything else, a float among
+    them, raises TypeError.  A Fraction is [num, den], plus approx_str in
+    human mode, so human output only appends "~" strings to the machine
+    output; a polygon point is [xn, xd, yn, yd], plus its two "~" strings.
+    An integer, or a numerator or denominator, that the interpreter cannot
+    write in decimal raises DigitCapExceeded, with both sizes in bits; a
+    limit of 0 lifts it.
     """
     digits = sys.get_int_max_str_digits()
     cap = _decimal_cap_bits(digits) if digits else 0
+    buf = io.StringIO()
+    write = buf.write
 
-    def encode(o):
-        if type(o) is Fraction:
-            num, den = o.as_integer_ratio()
-            if cap and (num.bit_length() > cap or den.bit_length() > cap):
-                raise DigitCapExceeded(cap, max(num.bit_length(), den.bit_length()))
-            return [num, den, approx_str(o)] if human else [num, den]
-        # nested values are rendered here rather than handed back: each value
-        # default() returns costs the pure-Python encoder (indent=2) one more
-        # generator level for everything inside it
-        if type(o) is Polygon:
-            points = []
+    def ratio(x: Fraction) -> tuple[int, int]:
+        num, den = x.as_integer_ratio()
+        if cap and (num.bit_length() > cap or den.bit_length() > cap):
+            raise DigitCapExceeded(cap, max(num.bit_length(), den.bit_length()))
+        return num, den
+
+    def members(items, lead: str, nl: str) -> None:
+        """An object from its (quoted key + ": ", value) pairs, keys sorted."""
+        inner = nl + "  "
+        sep = lead + "{" + inner
+        for key, value in items:
+            put(value, sep + key, inner)
+            sep = "," + inner
+        write(nl + "}")
+
+    def put(o, lead: str, nl: str) -> None:
+        """Write lead, then o, whose own lines are indented as nl is."""
+        t = type(o)
+        if t is Fraction:
+            num, den = ratio(o)
+            inner = nl + "  "
+            if human:
+                write(f'{lead}[{inner}{num},{inner}{den},{inner}"{approx_str(o)}"{nl}]')
+            else:
+                write(f"{lead}[{inner}{num},{inner}{den}{nl}]")
+        elif t is int:
+            if cap and o.bit_length() > cap:
+                raise DigitCapExceeded(cap, o.bit_length())
+            write(lead + int.__repr__(o))
+        elif t is bool:
+            write(lead + ("true" if o else "false"))
+        elif t is list or t is tuple:
+            if not o:
+                write(lead + "[]")
+                return
+            inner = nl + "  "
+            sep = lead + "[" + inner
+            for x in o:
+                # ints fill most lists: write them without the call
+                if type(x) is int and not (cap and x.bit_length() > cap):
+                    write(sep + int.__repr__(x))
+                else:
+                    put(x, sep, inner)
+                sep = "," + inner
+            write(nl + "]")
+        elif t is dict:
+            if not o:
+                write(lead + "{}")
+                return
+            for key in o:
+                if type(key) is not str:
+                    raise TypeError(f"cannot render {type(key).__name__} key")
+            inner = nl + "  "
+            sep = lead + "{" + inner
+            for key in sorted(o):
+                put(o[key], sep + _quote(key) + ": ", inner)
+                sep = "," + inner
+            write(nl + "}")
+        elif t is str:
+            write(lead + _quote(o))
+        elif o is None:
+            write(lead + "null")
+        elif t is Polygon:
+            inner = nl + "  "
+            points = nl + "    "
+            point = points + "  "
+            write(f'{lead}{{{inner}"convexity": {_quote(o.convexity)},{inner}"points": ')
+            sep = "[" + points
             for x, y in o.points:
-                ex, ey = encode(x), encode(y)
-                # [xn, xd, yn, yd], then the two "~" strings in human mode
-                points.append(ex[:2] + ey[:2] + ex[2:] + ey[2:])
-            return {"convexity": o.convexity, "points": points}
-        if isinstance(o, FiniteOModuleDesc):
-            out = {"o_height": o.o_height, "deg": [encode(x) for x in o.deg], "level": o.level}
-            if isinstance(o, SplitSubgroupDesc):
-                out["torsion"] = o.torsion
-            return out
-        if type(o) is PeriodMonomial:
-            return {"a": o.a, "b": o.b, "c": o.c, "text": o.text()}
-        if type(o) is Signature:
-            return {"f": o.f, "p": o.p, "h": o.h, "q": o.q}
-        if type(o) is HNResult:
-            return {
-                "polygon": encode(o.polygon),
-                "filtration": [encode(d) for d in o.filtration],
-                "slopes": [encode(s) for s in o.slopes],
-            }
-        raise TypeError(f"cannot render {type(o).__name__}")
+                xn, xd = ratio(x)
+                yn, yd = ratio(y)
+                text = f"{sep}[{point}{xn},{point}{xd},{point}{yn},{point}{yd}"
+                if human:
+                    text += f',{point}"{approx_str(x)}",{point}"{approx_str(y)}"'
+                write(f"{text}{points}]")
+                sep = "," + points
+            write(f"{inner}]{nl}}}")
+        elif t is FiniteOModuleDesc or t is SplitSubgroupDesc:
+            items = [('"deg": ', o.deg), ('"level": ', o.level), ('"o_height": ', o.o_height)]
+            if t is SplitSubgroupDesc:
+                items.append(('"torsion": ', o.torsion))
+            members(items, lead, nl)
+        elif t is PeriodMonomial:
+            members(
+                (('"a": ', o.a), ('"b": ', o.b), ('"c": ', o.c), ('"text": ', o.text())),
+                lead, nl,
+            )
+        elif t is Signature:
+            members((('"f": ', o.f), ('"h": ', o.h), ('"p": ', o.p), ('"q": ', o.q)), lead, nl)
+        elif t is HNResult:
+            members(
+                (('"filtration": ', o.filtration), ('"polygon": ', o.polygon),
+                 ('"slopes": ', o.slopes)),
+                lead, nl,
+            )
+        else:
+            raise TypeError(f"cannot render {t.__name__}")
 
-    # report trees hold no cycles; the check would cost a dict entry per container
-    return json.dumps(data, sort_keys=True, indent=2, check_circular=False, default=encode) + "\n"
+    put(data, "", "\n")
+    write("\n")
+    return buf.getvalue()

@@ -3,7 +3,9 @@
 Everything here is deliberately written against the raw definitions, with
 different summation orders and different data flow than the library, so that
 agreement between the two is evidence rather than tautology.  No imports from
-mufilt are allowed in this file.
+mufilt are allowed in this file, except inside dump_json_reference: the
+json.dumps renderer the library's writer replaced, kept as its oracle,
+which must recognise the library's own types.
 """
 
 from __future__ import annotations
@@ -370,3 +372,61 @@ def all_signatures(f, h):
     from itertools import product
 
     return list(product(range(h + 1), repeat=f))
+
+
+# === JSON rendering =========================================================
+
+def dump_json_reference(data, human: bool = False) -> str:
+    """The renderer that serialize.dump_json replaced, as it was: json.dumps
+    with sorted keys and an indent of 2, the library types rendered by its
+    default hook, encode.  The writer must give the same bytes on every
+    tree both accept."""
+    import json
+    import sys
+
+    from mufilt.errors import DigitCapExceeded
+    from mufilt.group_models import FiniteOModuleDesc, SplitSubgroupDesc
+    from mufilt.hn_engine import HNResult
+    from mufilt.period_calculus import PeriodMonomial
+    from mufilt.polygons import Polygon
+    from mufilt.serialize import approx_str
+    from mufilt.signature_core import Signature, _decimal_cap_bits
+
+    digits = sys.get_int_max_str_digits()
+    cap = _decimal_cap_bits(digits) if digits else 0
+
+    def encode(o):
+        if type(o) is Fraction:
+            num, den = o.as_integer_ratio()
+            if cap and (num.bit_length() > cap or den.bit_length() > cap):
+                raise DigitCapExceeded(cap, max(num.bit_length(), den.bit_length()))
+            return [num, den, approx_str(o)] if human else [num, den]
+        # nested values are rendered here rather than handed back: each value
+        # default() returns costs the pure-Python encoder (indent=2) one more
+        # generator level for everything inside it
+        if type(o) is Polygon:
+            points = []
+            for x, y in o.points:
+                ex, ey = encode(x), encode(y)
+                # [xn, xd, yn, yd], then the two "~" strings in human mode
+                points.append(ex[:2] + ey[:2] + ex[2:] + ey[2:])
+            return {"convexity": o.convexity, "points": points}
+        if isinstance(o, FiniteOModuleDesc):
+            out = {"o_height": o.o_height, "deg": [encode(x) for x in o.deg], "level": o.level}
+            if isinstance(o, SplitSubgroupDesc):
+                out["torsion"] = o.torsion
+            return out
+        if type(o) is PeriodMonomial:
+            return {"a": o.a, "b": o.b, "c": o.c, "text": o.text()}
+        if type(o) is Signature:
+            return {"f": o.f, "p": o.p, "h": o.h, "q": o.q}
+        if type(o) is HNResult:
+            return {
+                "polygon": encode(o.polygon),
+                "filtration": [encode(d) for d in o.filtration],
+                "slopes": [encode(s) for s in o.slopes],
+            }
+        raise TypeError(f"cannot render {type(o).__name__}")
+
+    # report trees hold no cycles; the check would cost a dict entry per container
+    return json.dumps(data, sort_keys=True, indent=2, check_circular=False, default=encode) + "\n"

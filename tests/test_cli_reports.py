@@ -609,16 +609,24 @@ class TestDigitCap:
 
     def test_render_check_reads_every_rational(self):
         big = F(1, 2**self.CAP)  # a denominator of CAP + 1 bits
-        for data in ({"x": [F(1, 3), big]}, Polygon(((F(0), F(0)), (F(1), big)), "convex")):
+        for data in (
+            {"x": [F(1, 3), big]},
+            Polygon(((F(0), F(0)), (F(1), big)), "convex"),
+            # a plain integer gets the same check, in a list or not
+            {"n": 2**self.CAP},
+            [0, -(2**self.CAP)],
+        ):
             with pytest.raises(DigitCapExceeded) as err:
                 dump_json(data, human=True)
             assert (err.value.cap, err.value.required) == (self.CAP, self.CAP + 1)
         assert json.loads(dump_json(F(2**self.CAP - 1, 2))) == [2**self.CAP - 1, 2]
+        assert json.loads(dump_json({"n": [1 - 2**self.CAP]})) == {"n": [1 - 2**self.CAP]}
         # 0 lifts the interpreter's limit, and the check with it
         digits = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(0)
             assert json.loads(dump_json(big)) == [1, 2**self.CAP]
+            assert json.loads(dump_json([2**self.CAP])) == [2**self.CAP]
         finally:
             sys.set_int_max_str_digits(digits)
 
