@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     HypothesisViolation,
@@ -23,6 +24,8 @@ from .signature_core import (
     _frobenius_weights,
     _h1_bound,
     _h3_bound,
+    _level_one,
+    _weighted_defect,
     constants,
     ladder_index,
     mu_ordinary_decomposition,
@@ -35,11 +38,13 @@ def _check_ha(ha) -> Fraction:
     return ha
 
 
-def _min_sums(sig: Signature, tau: int) -> tuple[int, Fraction]:
+def _min_sums(sig: Signature, tau: int) -> tuple[int, int]:
     """(weighted, classical) sums of min(p_tau, p_{sigma^i tau})."""
-    mins = [min(sig.p_values[tau], pu) for pu in sig.p_values]
+    pv = sig.p_values
+    pt = pv[tau]
+    mins = [min(pt, pu) for pu in pv]
     weights = _frobenius_weights(sig.p, sig.f, tau)
-    return sum(c * m for c, m in zip(weights, mins)), Fraction(sum(mins))
+    return sum(map(mul, weights, mins)), sum(mins)
 
 
 @dataclass(frozen=True)
@@ -68,20 +73,25 @@ def ptorsion_report(sig: Signature, tau: int, ha: Fraction) -> PTorsionReport:
     sig.check_nondegenerate(tau)
     ha = _check_ha(ha)
     f, p = sig.f, sig.p
-    K = constants(sig).K[tau]
+    # every value is one Fraction over a known denominator: ha = a/b and
+    # K_tau = w/(p^f - 1)
+    a, b = ha.as_integer_ratio()
+    P1 = p**f - 1
+    w = _weighted_defect(constants(sig).K[tau], P1)
     pv = sig.p_values
+    pt = pv[tau]
     weighted, classical = _min_sums(sig, tau)
-    slot_bounds = [
-        min(pv[tau], pu) - ha / c
-        for c, pu in zip(_frobenius_weights(p, f, tau), pv)
-    ]
+    eps_num, eps_den = (P1 + w) * b - P1 * a, P1 * b * sig.q[tau]
     return PTorsionReport(
-        deg_identity_rhs=weighted - ha,
-        coker_degree=K + ha / (p**f - 1),
-        eps_tau=min(Fraction(1), (K + 1 - ha) / sig.q[tau]),
-        slot_lower_bounds=tuple(slot_bounds),
+        deg_identity_rhs=Fraction(weighted * b - a, b),
+        coker_degree=Fraction(w * b + a, P1 * b),
+        eps_tau=Fraction(min(eps_num, eps_den), eps_den),
+        slot_lower_bounds=tuple(
+            Fraction(min(pt, pu) * c * b - a, c * b)
+            for c, pu in zip(_frobenius_weights(p, f, tau), pv)
+        ),
         dual_deg_upper_bound=ha,
-        classical_lower_bound=classical - ha,
+        classical_lower_bound=Fraction(classical * b - a, b),
         h1_ok=ha < _h1_bound(sig, tau),
     )
 
@@ -148,46 +158,54 @@ def tower_report(sig: Signature, tau: int, ha: Fraction, n: int) -> TowerReport:
     ha = _check_ha(ha)
     _check_level(n)
     f, p = sig.f, sig.p
+    P = p**f
+    a, b = ha.as_integer_ratio()
     weighted, classical = _min_sums(sig, tau)
-    # The level-m threshold of hasse_threshold is min(1/2, h1 bound) over
-    # p^{(m-1)f} at every embedding, so ha is below all of them exactly
-    # when ha * p^{(m-1)f} is below the least numerator.
-    floor = min(
-        (
-            min(Fraction(1, 2), _h1_bound(sig, t))
-            for t in range(f)
-            if not sig.is_degenerate(t)
-        ),
-        default=None,
-    )
-
-    def below_thresholds(m: int) -> bool:
-        return floor is None or ha * p ** ((m - 1) * f) < floor
-
     h1 = ha < _h1_bound(sig, tau)
-    hf = below_thresholds(f)
+    # The level-m H3 bound, and every level-m threshold of hasse_threshold,
+    # is its level-one value over p^{(m-1)f}: each flag compares
+    # a p^{(m-1)f} / b with a fixed fraction by cross-multiplying.  The
+    # floor is the least level-one threshold at a nondegenerate embedding.
+    h3_num, h3_den = _h3_bound(sig, tau, 1).as_integer_ratio()
+    floor = _level_one(sig)[1]
+    floor_num, floor_den = (0, 1) if floor is None else floor.as_integer_ratio()
+    floor_b = floor_num * b
+
+    def below_floor(e: int) -> bool:
+        """ha p^e below the floor, that is a p^e floor_den < floor_num b.
+        With a > 0, a p^e of at least as many bits as floor_num b is not,
+        so the large p^e that Hf reads (e = (f-1)f) is never built."""
+        if floor is None:
+            return True
+        if not a:
+            return floor_b > 0
+        if e * (p.bit_length() - 1) >= floor_b.bit_length():
+            return False
+        return a * floor_den * p**e < floor_b
+
+    hf = below_floor((f - 1) * f)
     levels = []
+    Q, G = 1, 1  # p^{(m-1)f} and (p^{mf} - 1)/(p^f - 1) = 1 + P + ... + Q
     for m in range(1, n + 1):
-        delta = Fraction(p ** (m * f) - 1, p**f - 1) * ha
-        h2 = delta < Fraction(p - 2, p - 1)
-        h3 = ha < _h3_bound(sig, tau, m)
-        hn = below_thresholds(m)
+        Ga = G * a  # the accumulated dual degree is Ga/b
         levels.append(
             TowerLevel(
                 level=m,
-                deg_dual_tau=delta,
-                ha_quotient=p ** (m * f) * ha,
-                deg_lower_bound=m * weighted - delta,
-                classical_lower_bound=m * classical - delta,
+                deg_dual_tau=Fraction(Ga, b),
+                ha_quotient=Fraction(Q * P * a, b),
+                deg_lower_bound=Fraction(m * weighted * b - Ga, b),
+                classical_lower_bound=Fraction(m * classical * b - Ga, b),
                 hypotheses=(
                     ("H1", h1),
-                    ("H2", h2),
-                    ("H3", h3),
-                    ("Hn", hn),
+                    ("H2", Ga * (p - 1) < (p - 2) * b),
+                    ("H3", a * Q * h3_den < h3_num * b),
+                    ("Hn", below_floor((m - 1) * f)),
                     ("Hf", hf),
                 ),
             )
         )
+        Q *= P
+        G += Q
     return TowerReport(tau=tau, ha=ha, levels=tuple(levels))
 
 

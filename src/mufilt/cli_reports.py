@@ -78,6 +78,7 @@ def _threshold_entries(sig, taus, n):
 
 def _certificates(sig, n):
     steps = gm.mu_ord_canonical_filtration(sig, n)
+    classical = hn.classical_weighting(sig.p, sig.f)
     crans = []
     for members, desc in steps:
         rep = members[0]
@@ -87,7 +88,7 @@ def _certificates(sig, n):
             "deg": desc.deg,
         }
         for mode_name, w in (
-            ("classical", hn.classical_weighting(sig.p, sig.f)),
+            ("classical", classical),
             ("tau_mode", hn.tau_weighting(sig.p, sig.f, rep)),
         ):
             cert = hn.break_certificate(sig, n, w, rep, desc)

@@ -10,25 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainMismatch, MufiltError
 from .signature_core import Signature, _frobenius_weights
 
 Point = tuple[Fraction, Fraction]
-
-
-def _merge_collinear(points: list[Point]) -> tuple[Point, ...]:
-    out: list[Point] = []
-    for pt in points:
-        while len(out) >= 2:
-            (x0, y0), (x1, y1) = out[-2], out[-1]
-            # cross product of (x1-x0, y1-y0) and (pt-x0) detects collinearity
-            if (x1 - x0) * (pt[1] - y0) == (pt[0] - x0) * (y1 - y0):
-                out.pop()
-            else:
-                break
-        out.append(pt)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -37,27 +24,58 @@ class Polygon:
     convexity: str
 
     def __post_init__(self):
+        """The one validator: every polygon is checked and put in canonical
+        form here.
+
+        The checks run on integer numerators over one common denominator D,
+        the lcm of the point denominators.  Scaling both axes by D keeps the
+        order of abscissas, collinearity (a zero cross product) and the
+        order of slopes, so no Fraction is built past the points themselves.
+        The stored points are the caller's, as Fractions, minus the interior
+        points of collinear runs.
+        """
         if self.convexity not in ("convex", "concave"):
             raise MufiltError(f"unknown convexity {self.convexity!r}")
         pts = [
-            (Fraction(x), Fraction(y)) for x, y in self.points
+            (
+                x if type(x) is Fraction else Fraction(x),
+                y if type(y) is Fraction else Fraction(y),
+            )
+            for x, y in self.points
         ]
-        if not pts or pts[0] != (Fraction(0), Fraction(0)):
+        if not pts:
             raise MufiltError("polygon must start at (0, 0)")
-        for (x0, _), (x1, _) in zip(pts, pts[1:]):
+        ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pts]
+        D = lcm(*(d for (_, dx), (_, dy) in ratios for d in (dx, dy)))
+        xs = [nx * (D // dx) for (nx, dx), _ in ratios]
+        ys = [ny * (D // dy) for _, (ny, dy) in ratios]
+        if xs[0] or ys[0]:
+            raise MufiltError("polygon must start at (0, 0)")
+        for x0, x1 in zip(xs, xs[1:]):
             if not x1 > x0:
                 raise MufiltError("abscissas must be strictly increasing")
-        pts = list(_merge_collinear(pts))
-        slopes = [
-            (y1 - y0) / (x1 - x0)
-            for (x0, y0), (x1, y1) in zip(pts, pts[1:])
-        ]
-        for s0, s1 in zip(slopes, slopes[1:]):
-            if self.convexity == "convex" and s1 < s0:
+        # drop the middle of every collinear triple: the cross product of
+        # (x1-x0, y1-y0) and (x-x0, y-y0) vanishes
+        keep: list[int] = []
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            while len(keep) >= 2:
+                i0, i1 = keep[-2], keep[-1]
+                x0, y0 = xs[i0], ys[i0]
+                if (xs[i1] - x0) * (y - y0) != (x - x0) * (ys[i1] - y0):
+                    break
+                keep.pop()
+            keep.append(i)
+        # no kept triple is collinear, so the sign of the cross product of
+        # two consecutive segments is the sign of their slope change
+        convex = self.convexity == "convex"
+        for i0, i1, i2 in zip(keep, keep[1:], keep[2:]):
+            dx0, dy0 = xs[i1] - xs[i0], ys[i1] - ys[i0]
+            turn = dx0 * (ys[i2] - ys[i1]) - (xs[i2] - xs[i1]) * dy0
+            if convex and turn < 0:
                 raise MufiltError("convex polygon with decreasing slopes")
-            if self.convexity == "concave" and s1 > s0:
+            if not convex and turn > 0:
                 raise MufiltError("concave polygon with increasing slopes")
-        object.__setattr__(self, "points", tuple(pts))
+        object.__setattr__(self, "points", tuple(pts[i] for i in keep))
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:

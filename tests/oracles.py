@@ -3,9 +3,11 @@
 Everything here is deliberately written against the raw definitions, with
 different summation orders and different data flow than the library, so that
 agreement between the two is evidence rather than tautology.  No imports from
-mufilt are allowed in this file, except inside dump_json_reference: the
-json.dumps renderer the library's writer replaced, kept as its oracle,
-which must recognise the library's own types.
+mufilt are allowed in this file, with two exceptions, each inside its
+function: dump_json_reference, the json.dumps renderer the library's writer
+replaced, kept as its oracle, which must recognise the library's own types;
+and polygon_reference, the Fraction-based polygon check the integer one
+replaced, which raises the library's own error.
 """
 
 from __future__ import annotations
@@ -53,6 +55,84 @@ def threshold_bruteforce(f, p, q, t, n):
     return base / p ** ((n - 1) * f)
 
 
+def h1_bound_reference(p, qt, Kt):
+    """1 + K_t - 2 q_t/(p - 1)."""
+    return 1 + Kt - Fraction(2 * qt, p - 1)
+
+
+def h3_bound_reference(f, p, qt, Kt, m):
+    """(1 + K_t)/p^{(m-1)f} - 2 q_t/(p^{mf} - p^{(m-1)f})."""
+    return (1 + Kt) / Fraction(p) ** ((m - 1) * f) - Fraction(
+        2 * qt, p ** (m * f) - p ** ((m - 1) * f)
+    )
+
+
+def tower_reference(f, p, h, q, t, ha, n):
+    """Per level m = 1..n of the worst-case tower at embedding t: the four
+    printed values and the five flags, each straight from its Fraction
+    formula.  The accumulated dual degree is ha summed over the quotients,
+    ha (1 + p^f + ... + p^{(m-1)f}); Hn asks ha below the level-m threshold
+    at every nondegenerate embedding, and Hf is Hn at level f."""
+    ha = Fraction(ha)
+    pv = [h - x for x in q]
+    # sigma^i t has weight p^{f-i}, i = 1..f
+    mins = [(p ** (f - i), min(pv[t], pv[(t + i) % f])) for i in range(1, f + 1)]
+    weighted = sum(c * x for c, x in mins)
+    classical = sum(x for _, x in mins)
+    _, K, _, _ = constants_bruteforce(f, p, q)
+    level_one = [
+        min(Fraction(1, 2), h1_bound_reference(p, q[u], K[u]))
+        for u in range(f)
+        if q[u] not in (0, h)
+    ]
+
+    def hn(m):
+        return all(ha < x / p ** ((m - 1) * f) for x in level_one)
+
+    h1, hf = ha < h1_bound_reference(p, q[t], K[t]), hn(f)
+
+    levels = []
+    for m in range(1, n + 1):
+        delta = sum(ha * Fraction(p) ** (i * f) for i in range(m))
+        levels.append({
+            "deg_dual_tau": delta,
+            "ha_quotient": Fraction(p) ** (m * f) * ha,
+            "deg_lower_bound": m * weighted - delta,
+            "classical_lower_bound": m * classical - delta,
+            "H1": h1,
+            "H2": delta < Fraction(p - 2, p - 1),
+            "H3": ha < h3_bound_reference(f, p, q[t], K[t], m),
+            "Hn": hn(m),
+            "Hf": hf,
+        })
+    return levels
+
+
+def ptorsion_reference(f, p, h, q, t, ha):
+    """ptorsion_report's values at a nondegenerate t, from their Fraction
+    formulas, summed over i = 1..f with sigma^i t at weight p^{f-i}."""
+    ha = Fraction(ha)
+    _, K, _, _ = constants_bruteforce(f, p, q)
+    pv = [h - x for x in q]
+    slots = [None] * f
+    weighted = classical = 0
+    for i in range(1, f + 1):
+        u = (t + i) % f
+        m = min(pv[t], pv[u])
+        weighted += p ** (f - i) * m
+        classical += m
+        slots[u] = m - ha / p ** (f - i)
+    return {
+        "deg_identity_rhs": weighted - ha,
+        "coker_degree": K[t] + ha / (p ** f - 1),
+        "eps_tau": min(Fraction(1), (K[t] + 1 - ha) / q[t]),
+        "slot_lower_bounds": tuple(slots),
+        "dual_deg_upper_bound": ha,
+        "classical_lower_bound": classical - ha,
+        "h1_ok": ha < h1_bound_reference(p, q[t], K[t]),
+    }
+
+
 # === polygons ===============================================================
 
 def hodge_unit_intervals(f, q, h):
@@ -87,6 +167,48 @@ def merge_collinear(pts):
                 out.pop()
         out.append(pt)
     return out
+
+
+def polygon_reference(points, convexity):
+    """The polygon check and canonical form that Polygon.__post_init__ ran
+    in Fractions before it moved to integers over one denominator, as it
+    was: the canonical points, or the MufiltError it raised."""
+    from mufilt.errors import MufiltError
+
+    def _merge_collinear(points):
+        out = []
+        for pt in points:
+            while len(out) >= 2:
+                (x0, y0), (x1, y1) = out[-2], out[-1]
+                # cross product of (x1-x0, y1-y0) and (pt-x0) detects collinearity
+                if (x1 - x0) * (pt[1] - y0) == (pt[0] - x0) * (y1 - y0):
+                    out.pop()
+                else:
+                    break
+            out.append(pt)
+        return tuple(out)
+
+    if convexity not in ("convex", "concave"):
+        raise MufiltError(f"unknown convexity {convexity!r}")
+    pts = [
+        (Fraction(x), Fraction(y)) for x, y in points
+    ]
+    if not pts or pts[0] != (Fraction(0), Fraction(0)):
+        raise MufiltError("polygon must start at (0, 0)")
+    for (x0, _), (x1, _) in zip(pts, pts[1:]):
+        if not x1 > x0:
+            raise MufiltError("abscissas must be strictly increasing")
+    pts = list(_merge_collinear(pts))
+    slopes = [
+        (y1 - y0) / (x1 - x0)
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:])
+    ]
+    for s0, s1 in zip(slopes, slopes[1:]):
+        if convexity == "convex" and s1 < s0:
+            raise MufiltError("convex polygon with decreasing slopes")
+        if convexity == "concave" and s1 > s0:
+            raise MufiltError("concave polygon with increasing slopes")
+    return tuple(pts)
 
 
 def eval_piecewise(pts, x):

@@ -65,6 +65,17 @@ class TestPTorsionReport:
         assert rep.dual_deg_upper_bound == 0
         assert rep.slot_lower_bounds == (1, 1)
 
+    def test_values_match_oracle_on_grid(self):
+        has = (F(0), F(1, 100), F(1, 3), F(23, 48), F(1, 2), F(1))
+        for sig in iter_signatures(3, 3, (2, 7)):
+            for tau in range(sig.f):
+                if sig.is_degenerate(tau):
+                    continue
+                for ha in has:
+                    assert vars(ptorsion_report(sig, tau, ha)) == (
+                        oracles.ptorsion_reference(sig.f, sig.p, sig.h, sig.q, tau, ha)
+                    )
+
     def test_eps_capped_at_one(self):
         # K_0 = 7/48 > 0, so (K + 1)/q_0 exceeds 1 at ha = 0
         sig = Signature(f=2, p=7, h=3, q=(1, 0))
@@ -168,6 +179,60 @@ class TestTowerReport:
                         flags = dict(lv.hypotheses)
                         assert flags["Hn"] == expected[ha, lv.level]
                         assert flags["Hf"] == expected[ha, sig.f]
+
+    def test_flags_at_knife_edges(self):
+        # ha exactly on each edge and 10^-6 to either side: the H1 bound,
+        # the level-m Hn floor over p^{(m-1)f} for m up to f (so Hf's edge
+        # too), and at levels 1 and 2 the ha whose accumulated dual degree
+        # is the H2 edge (p-2)/(p-1) and the H3 bound
+        eps = F(1, 10**6)
+        n = 2
+        for sig in iter_signatures(3, 4, (2, 3, 7)):
+            f, p, h, q = sig.f, sig.p, sig.h, sig.q
+            K = oracles.constants_bruteforce(f, p, q)[1]
+            live = [u for u in range(f) if not sig.is_degenerate(u)]
+            if not live:
+                continue
+            floor = min(
+                min(F(1, 2), oracles.h1_bound_reference(p, q[u], K[u])) for u in live
+            )
+            for tau in live:
+                h1 = oracles.h1_bound_reference(p, q[tau], K[tau])
+                edges = {h1} | {floor / p ** ((m - 1) * f) for m in range(1, f + 1)}
+                for m in range(1, n + 1):
+                    edges.add(F(p - 2, p - 1) / sum(p ** (i * f) for i in range(m)))
+                    edges.add(oracles.h3_bound_reference(f, p, q[tau], K[tau], m))
+                has = {e + d for e in edges for d in (-eps, 0, eps)}
+                for ha in sorted(x for x in has if 0 <= x <= 1):
+                    got = [
+                        {
+                            "deg_dual_tau": lv.deg_dual_tau,
+                            "ha_quotient": lv.ha_quotient,
+                            "deg_lower_bound": lv.deg_lower_bound,
+                            "classical_lower_bound": lv.classical_lower_bound,
+                            **dict(lv.hypotheses),
+                        }
+                        for lv in tower_report(sig, tau, ha, n).levels
+                    ]
+                    assert got == oracles.tower_reference(f, p, h, q, tau, ha, n)
+                    assert ptorsion_report(sig, tau, ha).h1_ok == (ha < h1)
+
+    def test_hf_at_large_f_matches_fraction_formula(self):
+        # Hf compares ha p^{(f-1)f} with the floor; at f = 40 and p = 5 that
+        # power has 3623 bits, and ha on the edge has a denominator as large
+        f, p = 40, 5
+        sig = Signature(f=f, p=p, h=3, q=tuple(i % 3 for i in range(f)))
+        K = oracles.constants_bruteforce(f, p, sig.q)[1]
+        floor = min(
+            min(F(1, 2), oracles.h1_bound_reference(p, sig.q[u], K[u]))
+            for u in range(f)
+            if not sig.is_degenerate(u)
+        )
+        assert floor > 0
+        edge = floor / p ** ((f - 1) * f)
+        for ha in (F(0), edge - edge / 7, edge, edge + edge / 7, F(1, 100), F(1)):
+            (lv,) = tower_report(sig, 1, ha, 1).levels
+            assert dict(lv.hypotheses)["Hf"] == (ha * p ** ((f - 1) * f) < floor)
 
 
 class TestDeformationCheck:

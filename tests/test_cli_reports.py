@@ -390,6 +390,28 @@ class TestAnalyze:
         )
         assert code == 1 and "out of range" in err
 
+    def test_p_value_reads_grow_linearly_in_f(self, capsys, monkeypatch):
+        # a timer-free cost guard: one analyze reads p_values a bounded
+        # number of times per embedding, so doubling f at most about
+        # doubles the reads; a read per min(p_tau, p_u) grows them as f^2
+        reads = 0
+        p_values = sc.Signature.p_values.fget
+
+        def counted(sig):
+            nonlocal reads
+            reads += 1
+            return p_values(sig)
+
+        monkeypatch.setattr(sc.Signature, "p_values", property(counted))
+        counts = []
+        for f in (60, 120):
+            reads = 0
+            q = ",".join(str(i % 3) for i in range(f))
+            code, _, _ = run(capsys, "analyze", "--sig", f"{{f:{f},p:2,h:3,q:[{q}]}}")
+            assert code == 0
+            counts.append(reads)
+        assert counts[1] <= 2.5 * counts[0]
+
 
 class TestPolygonsCommand:
     def test_json_reference(self, capsys):

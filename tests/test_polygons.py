@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -59,6 +59,64 @@ class TestCanonicalForm:
         assert list(poly(*[(x, y) for x, y in pts]).points) == (
             oracles.merge_collinear(pts)
         )
+
+
+@st.composite
+def point_lists(draw):
+    """Points from drawn widths and slopes: slopes from a small pool, so
+    collinear runs are common, sorted either way or left as drawn; in one
+    list of four a width of 0 repeats an abscissa, and a few lists start off
+    the origin.  Each coordinate is written as a Fraction, an int when
+    integral, or a float (0.1 among them, which no small denominator
+    writes)."""
+    pool = draw(st.lists(st.fractions(-3, 3, max_denominator=6), min_size=2, max_size=4))
+    size = draw(st.integers(0, 8))
+    slopes = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    order = draw(st.sampled_from(["up", "down", "drawn"]))
+    if order != "drawn":
+        slopes.sort(reverse=order == "down")
+    width = st.fractions(F(1, 5), 3, max_denominator=5) | st.sampled_from([F(1), F(1, 10)])
+    widths = draw(st.lists(width, min_size=size, max_size=size))
+    if size and draw(st.integers(0, 3)) == 0:
+        widths[draw(st.integers(0, size - 1))] = F(0)
+    start = draw(st.sampled_from([(F(0), F(0))] * 6 + [(F(0), F(1)), (F(-1, 2), F(0))]))
+    points = [start]
+    for w, s in zip(widths, slopes):
+        x, y = points[-1]
+        points.append((x + w, y + w * s))
+
+    def written(c):
+        form = draw(st.sampled_from(["fraction", "int", "float"]))
+        if form == "int" and c.denominator == 1:
+            return int(c)
+        if form == "float":
+            return float(c)
+        return c
+
+    return [(written(x), written(y)) for x, y in points]
+
+
+def _outcome(check, points, convexity):
+    try:
+        return "ok", check(points, convexity)
+    except MufiltError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+# collinear runs that start after three kept points, and one bad turn
+@example([(0, 0), (1, 1), (2, 3), (3, 6), (4, 9), (5, 12)], "convex")
+@example([(0, 0), (1, 3), (2, 5), (3, 6), (4, 7), (5, F(15, 2))], "concave")
+@example([(0, 0), (1, 1), (2, 1.5)], "convex")
+@example([(0, 0), (F(1, 2), 1), (1, 3)], "concave")
+@given(point_lists(), st.sampled_from(["convex", "concave", "convex", "concave", "flat"]))
+def test_validator_matches_fraction_reference(points, convexity):
+    """The integer validator keeps the same points, or raises the same
+    error with the same message, as the Fraction one it replaced."""
+    got = _outcome(lambda pts, c: Polygon(tuple(pts), c).points, points, convexity)
+    assert got == _outcome(oracles.polygon_reference, points, convexity)
+    if got[0] == "ok":
+        assert all(type(c) is Fraction for pt in got[1] for c in pt)
 
 
 class TestEvaluation:
