@@ -23,9 +23,7 @@ from .signature_core import (
     _check_level,
     _frobenius_weights,
     _h1_bound,
-    _h3_bound,
     _level_one,
-    _weighted_defect,
     constants,
     ladder_index,
     mu_ordinary_decomposition,
@@ -77,7 +75,7 @@ def ptorsion_report(sig: Signature, tau: int, ha: Fraction) -> PTorsionReport:
     # K_tau = w/(p^f - 1)
     a, b = ha.as_integer_ratio()
     P1 = p**f - 1
-    w = _weighted_defect(constants(sig).K[tau], P1)
+    w = _level_one(sig)[2][tau]
     pv = sig.p_values
     pt = pv[tau]
     weighted, classical = _min_sums(sig, tau)
@@ -161,29 +159,23 @@ def tower_report(sig: Signature, tau: int, ha: Fraction, n: int) -> TowerReport:
     P = p**f
     a, b = ha.as_integer_ratio()
     weighted, classical = _min_sums(sig, tau)
+    P1 = P - 1
     h1 = ha < _h1_bound(sig, tau)
     # The level-m H3 bound, and every level-m threshold of hasse_threshold,
     # is its level-one value over p^{(m-1)f}: each flag compares
     # a p^{(m-1)f} / b with a fixed fraction by cross-multiplying.  The
-    # floor is the least level-one threshold at a nondegenerate embedding.
-    h3_num, h3_den = _h3_bound(sig, tau, 1).as_integer_ratio()
-    floor = _level_one(sig)[1]
+    # level-one H3 bound is (p^f - 1 + w - 2 q_tau)/(p^f - 1); the floor
+    # is the least level-one threshold at a nondegenerate embedding.
+    _, floor, defects = _level_one(sig)
+    h3_num = P1 + defects[tau] - 2 * sig.q[tau]
     floor_num, floor_den = (0, 1) if floor is None else floor.as_integer_ratio()
     floor_b = floor_num * b
 
-    def below_floor(e: int) -> bool:
-        """ha p^e below the floor, that is a p^e floor_den < floor_num b.
-        With a > 0, a p^e of at least as many bits as floor_num b is not,
-        so the large p^e that Hf reads (e = (f-1)f) is never built."""
-        if floor is None:
-            return True
-        if not a:
-            return floor_b > 0
-        if e * (p.bit_length() - 1) >= floor_b.bit_length():
-            return False
-        return a * floor_den * p**e < floor_b
+    def below_floor(Q: int) -> bool:
+        """ha Q below the floor, for Q = p^{(m-1)f}."""
+        return floor is None or a * floor_den * Q < floor_b
 
-    hf = below_floor((f - 1) * f)
+    hf = below_floor(p ** ((f - 1) * f))
     levels = []
     Q, G = 1, 1  # p^{(m-1)f} and (p^{mf} - 1)/(p^f - 1) = 1 + P + ... + Q
     for m in range(1, n + 1):
@@ -198,8 +190,8 @@ def tower_report(sig: Signature, tau: int, ha: Fraction, n: int) -> TowerReport:
                 hypotheses=(
                     ("H1", h1),
                     ("H2", Ga * (p - 1) < (p - 2) * b),
-                    ("H3", a * Q * h3_den < h3_num * b),
-                    ("Hn", below_floor((m - 1) * f)),
+                    ("H3", a * Q * P1 < h3_num * b),
+                    ("Hn", below_floor(Q)),
                     ("Hf", hf),
                 ),
             )

@@ -239,39 +239,36 @@ def constants(sig: Signature) -> SignatureConstants:
     return consts
 
 
-def _weighted_defect(K: Fraction, P1: int) -> int:
-    """K * P1 for K = K_tau and P1 = p^f - 1: the integer
-    Frobenius-weighted defect sum."""
-    num, den = K.as_integer_ratio()
-    return num * (P1 // den)
-
-
-def _level_one(sig: Signature) -> tuple[tuple[Fraction, ...], Fraction | None]:
+def _level_one(
+    sig: Signature,
+) -> tuple[tuple[Fraction, ...], Fraction | None, tuple[int, ...]]:
     """The level-one bounds 1 + K_tau - 2 q_tau/(p - 1) at every embedding,
-    and the floor: the least level-one threshold min(1/2, bound) over the
-    nondegenerate embeddings, None when there is none.
+    the floor (the least level-one threshold min(1/2, bound) over the
+    nondegenerate embeddings, None when there is none), and the integer
+    weighted defects w_tau = K_tau (p^f - 1).
 
-    Each bound is one Fraction over (p - 1)(p^f - 1): with w the weighted
-    defect, its numerator is (p - 1)(p^f - 1 + w) - 2 q_tau (p^f - 1).
-    Computed once per Signature instance and kept on it as _level_one, as
-    constants is.
+    Each bound is one Fraction over (p - 1)(p^f - 1): its numerator is
+    (p - 1)(p^f - 1 + w_tau) - 2 q_tau (p^f - 1).  Computed once per
+    Signature instance and kept on it as _level_one, as constants is.
     """
     cached = vars(sig).get("_level_one")
     if cached is not None:
         return cached
     p = sig.p
     P1 = p**sig.f - 1
+    ratios = (K.as_integer_ratio() for K in constants(sig).K)
+    defects = tuple(num * (P1 // den) for num, den in ratios)
     bounds = tuple(
-        Fraction((p - 1) * (P1 + _weighted_defect(K, P1)) - 2 * qt * P1, (p - 1) * P1)
-        for K, qt in zip(constants(sig).K, sig.q)
+        Fraction((p - 1) * (P1 + w) - 2 * qt * P1, (p - 1) * P1)
+        for w, qt in zip(defects, sig.q)
     )
     half = Fraction(1, 2)
     floor = min(
         (min(half, b) for t, b in enumerate(bounds) if not sig.is_degenerate(t)),
         default=None,
     )
-    object.__setattr__(sig, "_level_one", (bounds, floor))
-    return bounds, floor
+    object.__setattr__(sig, "_level_one", (bounds, floor, defects))
+    return bounds, floor, defects
 
 
 def _h1_bound(sig: Signature, tau: int) -> Fraction:
@@ -298,22 +295,16 @@ def threshold_h1(sig: Signature, tau: int) -> Fraction:
     return _h1_bound(sig, tau)
 
 
-def _h3_bound(sig: Signature, tau: int, n: int) -> Fraction:
-    """Guard-free body of threshold_h3, shared with the tower's H3 flag:
-    (1 + K_tau)/p^{(n-1)f} - 2 q_tau/(p^{nf} - p^{(n-1)f}) is
-    (p^f - 1 + w - 2 q_tau) over p^{(n-1)f} (p^f - 1), w the weighted
-    defect."""
-    f, p = sig.f, sig.p
-    P1 = p**f - 1
-    w = _weighted_defect(constants(sig).K[tau], P1)
-    return Fraction(P1 + w - 2 * sig.q[tau], p ** ((n - 1) * f) * P1)
-
-
 def threshold_h3(sig: Signature, tau: int, n: int) -> Fraction:
-    """Level-n refinement (1+K_tau)/p^{(n-1)f} - 2q_tau/(p^{nf}-p^{(n-1)f})."""
+    """Level-n refinement (1+K_tau)/p^{(n-1)f} - 2q_tau/(p^{nf}-p^{(n-1)f}),
+    that is (p^f - 1 + w_tau - 2 q_tau) over p^{(n-1)f} (p^f - 1), w_tau
+    the weighted defect."""
     sig.check_nondegenerate(tau)
     _check_level(n)
-    return _h3_bound(sig, tau, n)
+    f, p = sig.f, sig.p
+    P1 = p**f - 1
+    w = _level_one(sig)[2][tau]
+    return Fraction(P1 + w - 2 * sig.q[tau], p ** ((n - 1) * f) * P1)
 
 
 def threshold_existence(sig: Signature, tau: int) -> Fraction:
