@@ -65,6 +65,8 @@ from .hn_engine import (
     classical_weighting,
     deg_weighted,
     hn_from_lattice,
+    hn_rows,
+    hn_split,
     tau_weighting,
 )
 from .lt_crystals import (

@@ -23,38 +23,17 @@ from . import polygons as pg
 from . import signature_core as sc
 from .errors import InternalInvariantBreach, MufiltError
 from .serialize import (
-    _fracs,
-    _ints,
-    _node_desc,
-    _read_object,
     dump_json,
-    parse_frac,
-    parse_int,
+    parse_datum,
+    parse_hasse,
     parse_lattice,
+    parse_model,
     parse_signature,
-    relaxed_literal,
 )
 from .svg import render_polygons
 
 
 # === report assembly ========================================================
-
-def hasse_values(sig: sc.Signature, raw: str | None) -> tuple[str, tuple[Fraction, ...]]:
-    """Read --ha: a scalar applies to whichever embedding is under report,
-    a map literal gives one valuation per embedding."""
-    if raw is None:
-        return "scalar", (Fraction(0),) * sig.f
-    text = raw.strip()
-    if text.startswith("{"):
-        data = relaxed_literal(text)
-        vals = [Fraction(0)] * sig.f
-        for key, value in data.items():
-            t = sc._check_index(parse_int(key, "ha map key"), sig.f, "ha map key")
-            vals[t] = parse_frac(value)
-        return "map", tuple(vals)
-    v = parse_frac(text)
-    return "scalar", (v,) * sig.f
-
 
 def _threshold_entries(sig, taus, n):
     out = []
@@ -286,21 +265,17 @@ def _constant_laws(sig):
 
 def _hn_equalities(sig, n):
     """The split product's HN polygons are the reversed Hodge polygon and
-    the tau profiles, with one filtration for every mode; the integer walk
-    of hn --sig and the descriptor engine agree in every mode."""
-    G = gm.mu_ordinary_product(sig, n)
-    nodes = gm.enumerate_split_subgroups(G)
-    rows = gm._split_nodes(G)
-    w = hn.classical_weighting(sig.p, sig.f)
-    classical = hn.hn_from_lattice(nodes, w)
-    if _split_select(rows, n, w) != classical:
+    the tau profiles, with one filtration for every mode; hn_split and the
+    descriptor engine agree in every mode."""
+    nodes = gm.enumerate_split_subgroups(gm.mu_ordinary_product(sig, n))
+    classical = hn.hn_from_lattice(nodes, hn.classical_weighting(sig.p, sig.f))
+    if hn.hn_split(sig, n) != (classical, len(nodes)):
         return False
     if pg.renormalize(classical.polygon, n) != pg.reversed_hodge(sig):
         return False
     for t in range(sig.f):
-        w = hn.tau_weighting(sig.p, sig.f, t)
-        res = hn.hn_from_lattice(nodes, w)
-        if _split_select(rows, n, w) != res or res.filtration != classical.filtration:
+        res = hn.hn_from_lattice(nodes, hn.tau_weighting(sig.p, sig.f, t))
+        if hn.hn_split(sig, n, "tau", t)[0] != res or res.filtration != classical.filtration:
             return False
         mu_poly = pg.hn_mu_ordinary_tau(sig, t)
         for x, y in pg.renormalize(res.polygon, n).points:
@@ -309,11 +284,11 @@ def _hn_equalities(sig, n):
     return True
 
 
-def _raynaud_cases(per_combo=200, fmax=4):
+def _raynaud_cases():
     rng = random.Random(_SEED)
-    for f in range(1, fmax + 1):
+    for f in range(1, 5):
         for p in _GRID_PRIMES:
-            for _ in range(per_combo):
+            for _ in range(200):
                 vd = tuple(Fraction(rng.randrange(0, 33), 32) for _ in range(f))
                 yield (gm.RaynaudDatum(f=f, p=p, vdelta=vd),)
 
@@ -339,10 +314,10 @@ def _k_match(sig):
     return True
 
 
-def _transport_cases(count=50):
+def _transport_cases():
     rng = random.Random(_SEED)
     done = 0
-    while done < count:
+    while done < 50:
         f = rng.randrange(1, 7)
         h = rng.randrange(1, 7)
         p = rng.choice((2, 3, 5, 7, 11, 13, 17, 19, 23))
@@ -353,8 +328,8 @@ def _transport_cases(count=50):
             done += 1
 
 
-def _lts_cases(fmax=5):
-    for f in range(1, fmax + 1):
+def _lts_cases():
+    for f in range(1, 6):
         for p in _GRID_PRIMES:
             for size in range(f):
                 for S in combinations(range(f), size):
@@ -363,7 +338,8 @@ def _lts_cases(fmax=5):
                             yield (lt.LTSModel(f=f, p=p, S=frozenset(S), tau0=tau0),)
 
 
-def _tower_bounds(sig, t, ha=Fraction(1, 100)):
+def _tower_bounds(sig, t):
+    ha = Fraction(1, 100)
     if sig.p**sig.f * ha + ha < 1:
         if tower.hasse_recursion(sig, t, ha, ha) != tower.worst_case(sig, ha):
             return False
@@ -531,7 +507,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_analyze(args) -> int:
     sig = parse_signature(args.sig)
-    kind, vals = hasse_values(sig, args.ha)
+    kind, vals = parse_hasse(sig, args.ha)
     bundle = build_report_bundle(sig, kind, vals, args.n, tau=args.tau)
     sys.stdout.write(dump_json(bundle, args.human))
     return 0
@@ -564,14 +540,6 @@ def _cmd_polygons(args) -> int:
     return 0
 
 
-def _split_select(rows, n: int, w: hn.DegreeWeighting) -> hn.HNResult:
-    """HN selection over the _split_nodes rows of a split product at level
-    n, ordered by their torsion keys; descriptors are built for the
-    filtration's nodes only."""
-    ht, _, degs, keys = zip(*rows)
-    return hn._hn_select(ht, degs, 1, w, lambda i: gm._split_desc(rows[i], n), keys)
-
-
 def _cmd_hn(args) -> int:
     if args.mode == "tau" and args.tau is None:
         raise MufiltError("--mode tau needs --tau")
@@ -585,11 +553,7 @@ def _cmd_hn(args) -> int:
     if args.sig is not None:
         sig = parse_signature(args.sig)
         n = 1 if args.n is None else args.n
-        if args.mode == "tau":
-            # Deg_tau weights reach p^(f-1); classical weights are all 1
-            sc._check_level_work(sig.f, sig.p, 1, sig.h * n * sig.f)
-        rows = gm._split_nodes(gm.mu_ordinary_product(sig, n))
-        f, p = sig.f, sig.p
+        result, nodes = hn.hn_split(sig, n, args.mode, args.tau)
     else:
         if args.n is not None:
             raise MufiltError(
@@ -603,35 +567,19 @@ def _cmd_hn(args) -> int:
         rows, pairs = parse_lattice(text)
         if not rows:
             raise MufiltError("lattice file holds no nodes")
-        f = len(rows[0][1])
         if args.mode == "tau" and args.p is None:
             raise MufiltError("--mode tau on a lattice file needs --p")
         # classical weights are all 1; any prime passes the weighting's check
         p = 2 if args.p is None else args.p
-    if args.mode == "classical":
-        w = hn.classical_weighting(p, f)
-    else:
-        w = hn.tau_weighting(p, f, args.tau)
-    if args.sig is not None:
-        result = _split_select(rows, n, w)
-    else:
-        ht, fdegs, _, keys = zip(*rows)
-        degs, L = hn._integer_rows(fdegs)
-        if args.mode == "tau":
-            top = max(max(row, default=0) for row in degs)
-            sc._check_level_work(f, p, 1, L * f * max(ht) * top)
-        result = hn._hn_select(
-            ht, degs, L, w, lambda i: _node_desc(rows[i]),
-            None if None in keys else keys, pairs,
-        )
-    out = {"mode": args.mode, "tau": args.tau, "nodes": len(rows), "result": result}
+        w = hn.DegreeWeighting(args.mode, p, len(rows[0][1]), args.tau)
+        result, nodes = hn.hn_rows(rows, w, pairs), len(rows)
+    out = {"mode": args.mode, "tau": args.tau, "nodes": nodes, "result": result}
     sys.stdout.write(dump_json(out, args.human))
     return 0
 
 
 def _cmd_raynaud(args) -> int:
-    fields = {"f": parse_int, "p": parse_int, "vdelta": _fracs}
-    d = gm.RaynaudDatum(**_read_object(args.datum, "datum", fields))
+    d = parse_datum(args.datum)
     desc = gm.raynaud_degrees(d)
     out = {
         "datum": {"f": d.f, "p": d.p, "vdelta": d.vdelta},
@@ -679,8 +627,7 @@ def _cmd_periods(args) -> int:
 
 
 def _cmd_lts(args) -> int:
-    fields = {"f": parse_int, "p": parse_int, "S": _ints, "tau0": parse_int}
-    model = lt.LTSModel(**_read_object(args.model, "model", fields))
+    model = parse_model(args.model)
     sc._check_level_work(model.f, model.p)
     gen = lt.tate_generator(model)
     check = lt.verify_phi_eq_p(model)

@@ -177,9 +177,7 @@ def mu_ordinary_product(sig: Signature, n: int) -> LTProductGroup:
     return LTProductGroup(sig.f, mu_ordinary_decomposition(sig), n)
 
 
-def _split_nodes(
-    G: LTProductGroup, cap: int = ENUM_CAP
-) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+def _split_nodes(G: LTProductGroup) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
     """All split subgroups Prod_l LT_{A_l}[p^{s_l}] of the product, in
     integers: one row (height, total degree, degrees, torsion) each, sorted.
 
@@ -195,8 +193,8 @@ def _split_nodes(
     required = 1
     for r in ranges:
         required *= r
-    if required > cap:
-        raise EnumerationCapExceeded(cap, required)
+    if required > ENUM_CAP:
+        raise EnumerationCapExceeded(ENUM_CAP, required)
     # embedding t first met in factor l (l = r when in none) has degree
     # acc[r - l], where acc[k] sums the last k entries of the torsion vector
     r = len(ranges)
@@ -219,12 +217,18 @@ def _split_desc(row, level: int) -> SplitSubgroupDesc:
     return SplitSubgroupDesc(ht, tuple(map(Fraction, deg)), level, torsion)
 
 
-def enumerate_split_subgroups(
-    G: LTProductGroup, cap: int = ENUM_CAP
-) -> list[SplitSubgroupDesc]:
+def _node_desc(row) -> FiniteOModuleDesc:
+    """The descriptor of one parse_lattice row: split when it has torsion."""
+    o_height, deg, level, torsion = row
+    if torsion is None:
+        return FiniteOModuleDesc(o_height, deg, level)
+    return SplitSubgroupDesc(o_height, deg, level, torsion)
+
+
+def enumerate_split_subgroups(G: LTProductGroup) -> list[SplitSubgroupDesc]:
     """All split subgroups of the product as descriptors, sorted by
     (height, total degree, degree sequence, torsion); see _split_nodes."""
-    return [_split_desc(row, G.level) for row in _split_nodes(G, cap)]
+    return [_split_desc(row, G.level) for row in _split_nodes(G)]
 
 
 def mu_ord_canonical_filtration(

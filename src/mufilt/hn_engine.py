@@ -27,13 +27,21 @@ from .errors import (
     NotALattice,
     OrderViolation,
 )
-from .group_models import FiniteOModuleDesc, SplitSubgroupDesc
+from .group_models import (
+    FiniteOModuleDesc,
+    SplitSubgroupDesc,
+    _node_desc,
+    _split_desc,
+    _split_nodes,
+    mu_ordinary_product,
+)
 from .polygons import Polygon
 from .signature_core import (
     Signature,
     _check_f_p,
     _check_index,
     _check_level,
+    _check_level_work,
     _frobenius_weights,
     constants,  # unused here; bench/test_bench.py checks the tracer wraps this binding
 )
@@ -280,6 +288,37 @@ def hn_from_lattice(nodes, w: DegreeWeighting, containment=None) -> HNResult:
         keys = [d.torsion for d in nodes]
     return _hn_select(
         [d.o_height for d in nodes], rows, L, w, nodes.__getitem__, keys, containment
+    )
+
+
+def hn_split(
+    sig: Signature, n: int, mode: str = "classical", tau: int | None = None
+) -> tuple[HNResult, int]:
+    """HN filtration of the split mu-ordinary product of sig at level n under
+    DegreeWeighting(mode, p, f, tau), and its number of split subgroups.
+    Checked in order: the size guard in tau mode (its weights reach
+    p^(f-1)), the level, the enumeration cap, the weighting.  The walk runs
+    on the integer _split_nodes rows and their torsion keys."""
+    if mode == "tau":
+        _check_level_work(sig.f, sig.p, 1, sig.h * n * sig.f)
+    rows = _split_nodes(mu_ordinary_product(sig, n))
+    w = DegreeWeighting(mode, sig.p, sig.f, tau)
+    ht, _, degs, keys = zip(*rows)
+    return _hn_select(ht, degs, 1, w, lambda i: _split_desc(rows[i], n), keys), len(rows)
+
+
+def hn_rows(rows, w: DegreeWeighting, containment=None) -> HNResult:
+    """HN filtration over parse_lattice's rows (o_height, deg, level,
+    torsion or None), ordered as in hn_from_lattice; in tau mode the size
+    guard reads the degrees over their common denominator first."""
+    ht, fdegs, _, keys = zip(*rows)
+    degs, L = _integer_rows(fdegs)
+    if w.mode == "tau":
+        top = max(max(row, default=0) for row in degs)
+        _check_level_work(w.f, w.p, 1, L * w.f * max(ht) * top)
+    return _hn_select(
+        ht, degs, L, w, lambda i: _node_desc(rows[i]),
+        None if None in keys else keys, containment,
     )
 
 

@@ -20,11 +20,12 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DigitCapExceeded, MufiltError
-from .group_models import FiniteOModuleDesc, SplitSubgroupDesc, _check_desc
+from .group_models import FiniteOModuleDesc, RaynaudDatum, SplitSubgroupDesc, _check_desc
 from .hn_engine import HNResult
+from .lt_crystals import LTSModel
 from .period_calculus import PeriodMonomial
 from .polygons import Polygon
-from .signature_core import Signature, _decimal_cap_bits
+from .signature_core import Signature, _check_index, _decimal_cap_bits
 
 
 def approx_str(x: Fraction, places: int = 6) -> str:
@@ -180,6 +181,31 @@ def parse_signature(obj) -> Signature:
     return Signature(**_read_object(obj, "signature literal", fields))
 
 
+def parse_datum(obj) -> RaynaudDatum:
+    fields = {"f": parse_int, "p": parse_int, "vdelta": _fracs}
+    return RaynaudDatum(**_read_object(obj, "datum", fields))
+
+
+def parse_model(obj) -> LTSModel:
+    fields = {"f": parse_int, "p": parse_int, "S": _ints, "tau0": parse_int}
+    return LTSModel(**_read_object(obj, "model", fields))
+
+
+def parse_hasse(sig: Signature, raw: str | None) -> tuple[str, tuple[Fraction, ...]]:
+    """Read --ha: a scalar applies to whichever embedding is under report,
+    a map literal gives one valuation per embedding."""
+    if raw is None:
+        return "scalar", (Fraction(0),) * sig.f
+    text = raw.strip()
+    if text.startswith("{"):
+        vals = [Fraction(0)] * sig.f
+        for key, value in relaxed_literal(text).items():
+            t = _check_index(parse_int(key, "ha map key"), sig.f, "ha map key")
+            vals[t] = parse_frac(value)
+        return "map", tuple(vals)
+    return "scalar", (parse_frac(text),) * sig.f
+
+
 _DESC_KEYS = frozenset(("o_height", "deg", "level"))
 _SPLIT_KEYS = _DESC_KEYS | {"torsion"}
 
@@ -204,14 +230,6 @@ def _read_node(obj) -> tuple[int, tuple[Fraction, ...], int, tuple[int, ...] | N
     torsion = _ints(obj["torsion"], "torsion") if split else None
     _check_desc(o_height, deg, level)
     return o_height, deg, level, torsion
-
-
-def _node_desc(row) -> FiniteOModuleDesc:
-    """The descriptor of a _read_node row: split when it has torsion."""
-    o_height, deg, level, torsion = row
-    if torsion is None:
-        return FiniteOModuleDesc(o_height, deg, level)
-    return SplitSubgroupDesc(o_height, deg, level, torsion)
 
 
 def _nodes(obj, what: str) -> list:

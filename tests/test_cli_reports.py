@@ -31,11 +31,10 @@ from mufilt import (
     tau_weighting,
 )
 from mufilt.cli_reports import build_report_bundle, run_command
-from mufilt.group_models import FiniteOModuleDesc, SplitSubgroupDesc
+from mufilt.group_models import FiniteOModuleDesc, SplitSubgroupDesc, _node_desc
 from mufilt.serialize import (
     _fracs,
     _ints,
-    _node_desc,
     _read_node,
     _read_object,
     approx_str,
@@ -653,7 +652,7 @@ class TestDigitCap:
             sys.set_int_max_str_digits(digits)
 
     def test_guard_runs_before_enumeration(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.gm, "_split_nodes", None)
+        monkeypatch.setattr(cli.hn, "_split_nodes", None)
         code, out, err = run(
             capsys, "hn", "--sig", _sig61([1] * 240), "--mode", "tau", "--tau", "0"
         )

@@ -174,10 +174,11 @@ class TestEnumeration:
             ]
             assert keys == sorted(keys)
 
-    def test_cap_raises_with_details(self, ref_sig):
+    def test_cap_raises_with_details(self, ref_sig, monkeypatch):
         G = mu_ordinary_product(ref_sig, 1)
+        monkeypatch.setattr("mufilt.group_models.ENUM_CAP", 4)
         with pytest.raises(EnumerationCapExceeded) as err:
-            enumerate_split_subgroups(G, cap=4)
+            enumerate_split_subgroups(G)
         assert err.value.cap == 4
         assert err.value.required == 8
 
