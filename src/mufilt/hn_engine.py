@@ -1,5 +1,5 @@
 """Degree weightings, slopes, and Harder-Narasimhan filtrations over
-explicit descriptor lattices.
+descriptor lattices, split mu-ordinary products and lattice file rows.
 
 A degree weighting is a weight vector over the embeddings, and Deg is its
 dot product with the partial degrees.  Classical mode weights each
